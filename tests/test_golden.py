@@ -1,0 +1,53 @@
+"""Byte-exact CLI outputs at fixed flags, checked against tests/golden/.
+
+A change to any of these bytes must be deliberate.  After one, regenerate
+the files from the root of a checkout and review the diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from helpers import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_AXIS = ("--axis", "1", "2", "2")
+_TRAJECTORY = (
+    "trajectory", *_AXIS, "--input", "0.6", "0", "0.8",
+    "--rate", "0.7", "--t-start", "-1.5", "--t-end", "4", "--steps", "13",
+)  # fmt: skip
+_SWEEP = ("self-ref-sweep", "--theta-steps", "5", "--delta-steps", "9")
+
+CASES = {
+    "equiv-check.txt": ("equiv-check", "--trials", "200", "--seed", "5"),
+    "halting-demo-schrodinger.json": (
+        "halting-demo", *_AXIS, "--delta", "1.1", "--system", "0.6", "0", "0.8",
+        "--picture", "schrodinger",
+    ),
+    "halting-demo-heisenberg.json": (
+        "halting-demo", *_AXIS, "--delta", "1.1", "--system", "0.6", "0", "0.8",
+        "--picture", "heisenberg",
+    ),
+    "self-ref-sweep.csv": (*_SWEEP, "--format", "csv"),
+    "self-ref-sweep.jsonl": (*_SWEEP, "--format", "jsonl"),
+    "trajectory-schrodinger.csv": (*_TRAJECTORY, "--picture", "schrodinger", "--format", "csv"),
+    "trajectory-heisenberg-reversed.jsonl": (
+        *_TRAJECTORY, "--picture", "heisenberg-reversed", "--format", "jsonl",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_file(name):
+    proc = run_cli(*CASES[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_bytes(run_cli(*argv).stdout)
