@@ -16,11 +16,9 @@ import math
 import numpy as np
 
 from .su2 import IDENTITY, NORM_SLACK, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, adjoint, unit_axis
+from .su2 import _unit_vector
 
 TOL_ROT = 1e-10  # orthogonality / determinant tolerance for 3x3 rotations
-
-# Generator backing measure_sample; seedable and splittable (spawn/jumped).
-RNG_ALGORITHM = "PCG64"
 
 
 class NotAStateError(ValueError):
@@ -37,28 +35,12 @@ def bloch_vector(components) -> np.ndarray:
     Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
     unit norm pass (and are renormalized), everything else is rejected.
     """
-    v = np.asarray(components, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"Bloch vector must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("Bloch vector components must be finite")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) >= NORM_SLACK:
-        raise ValueError(f"Bloch vector norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
-    return v / norm
+    return _unit_vector(components, "Bloch vector", ValueError, NORM_SLACK)
 
 
 def normalized(components) -> np.ndarray:
     """Scale an arbitrary nonzero 3-vector onto the unit sphere."""
-    v = np.asarray(components, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / norm
+    return _unit_vector(components, "vector", ValueError, None)
 
 
 def state_to_density(v) -> np.ndarray:
@@ -120,16 +102,19 @@ def adjoint_rotation(u) -> np.ndarray:
     R is special orthogonal, and u and -u produce the same R (the
     SU(2) -> SO(3) double cover kills the sign).
     """
-    u = np.asarray(u, dtype=complex)
-    ud = u.conj().T
-    r = np.empty((3, 3))
-    for j, sig_j in enumerate(PAULIS):
-        m = u @ sig_j @ ud
-        # The traces against sigma_x/y/z, expanded on the entries of m.
-        r[0, j] = 0.5 * (m[0, 1] + m[1, 0]).real
-        r[1, j] = 0.5 * ((m[0, 1] - m[1, 0]) * 1j).real
-        r[2, j] = 0.5 * (m[0, 0] - m[1, 1]).real
-    return r
+    (a, b), (c, d) = np.asarray(u, dtype=complex).tolist()
+    # The nine traces, expanded on the entries of u.
+    p = a * d.conjugate()
+    q = b * c.conjugate()
+    x = a * c.conjugate() - b * d.conjugate()
+    y = a * b.conjugate() - c * d.conjugate()
+    return np.array(
+        [
+            [(p + q).real, (p - q).imag, x.real],
+            [-(p + q).imag, (p - q).real, -x.imag],
+            [y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2)],
+        ]
+    )
 
 
 def is_rotation(r, tol: float = TOL_ROT) -> bool:

@@ -10,10 +10,11 @@ explicit --seed; there is no wall-clock default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,13 +27,7 @@ from .bloch import (
     rotate_state,
 )
 from .halting import HaltingMachine, run, self_reference
-from .pictures import (
-    BadRangeError,
-    EvolutionSpec,
-    Picture,
-    TooFewStepsError,
-    trajectory,
-)
+from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
 
@@ -41,9 +36,51 @@ PICTURE_NAMES = {p.value: p for p in Picture}
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
-def _fmt(x: float) -> str:
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def nonneg_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _cell(x) -> str:
     # 17 significant digits round-trip any double losslessly.
-    return format(float(x), ".17g")
+    return ("true" if x else "false") if isinstance(x, bool) else format(x, ".17g")
+
+
+def _write_rows(path: str, fmt: str, fields: tuple[str, ...], rows) -> int:
+    """Write rows to path ('-' for stdout) as CSV with a header, or as JSON
+    Lines.  Returns the exit code: 0, or 1 after reporting an I/O error."""
+    try:
+        with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
+            if fmt == "csv":
+                out.write(",".join(fields) + "\n")
+                for row in rows:
+                    out.write(",".join(map(_cell, row)) + "\n")
+            else:
+                for row in rows:
+                    cells = (f'"{k}": {_cell(x)}' for k, x in zip(fields, row))
+                    out.write("{" + ", ".join(cells) + "}\n")
+            out.flush()
+    except OSError as exc:
+        if path == "-":
+            # Point stdout at devnull so the flush at exit cannot fail again
+            # (the "Note on SIGPIPE" in the documentation of module signal).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: writing {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _usage_error(message: str) -> int:
@@ -106,12 +143,6 @@ def cmd_halting_demo(args) -> int:
     return 0
 
 
-def _sweep_cell(theta: float, delta: float, tol: float) -> tuple[float, float, float, bool]:
-    basis = (math.sin(theta), 0.0, math.cos(theta))
-    gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
-    return theta, delta, gap, gap < tol
-
-
 def cmd_self_ref_sweep(args) -> int:
     if args.theta_steps < 2 or args.delta_steps < 2:
         return _usage_error("--theta-steps and --delta-steps must be >= 2")
@@ -122,47 +153,21 @@ def cmd_self_ref_sweep(args) -> int:
     if args.degrees:
         theta_lo, theta_hi = math.radians(theta_lo), math.radians(theta_hi)
         delta_lo, delta_hi = math.radians(delta_lo), math.radians(delta_hi)
-    if not (theta_lo < theta_hi and delta_lo < delta_hi):
-        return _usage_error("ranges must be ordered min < max")
+    # Finite bounds with min < max have a positive width, which may still overflow.
+    if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
+        return _usage_error("ranges must be ordered min < max and of finite width")
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
 
-    thetas = [float(t) for t in np.linspace(theta_lo, theta_hi, args.theta_steps)]
-    deltas = [float(d) for d in np.linspace(delta_lo, delta_hi, args.delta_steps)]
-    cells = [(th, d) for th in thetas for d in deltas]  # row-major (theta outer)
-
-    if args.workers == 1:
-        rows = [_sweep_cell(th, d, args.tol) for th, d in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            # executor.map preserves input order, so emission stays in grid order.
-            rows = list(pool.map(lambda cell: _sweep_cell(*cell, args.tol), cells))
-
-    try:
-        out = open(args.output, "w") if args.output != "-" else sys.stdout
-    except OSError as exc:
-        print(f"error: cannot open {args.output}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.format == "csv":
-            out.write("theta,delta,discrepancy_angle,fixed_point\n")
-            for theta, delta, gap, fixed in rows:
-                flag = "true" if fixed else "false"
-                out.write(f"{_fmt(theta)},{_fmt(delta)},{_fmt(gap)},{flag}\n")
-        else:
-            for theta, delta, gap, fixed in rows:
-                flag = "true" if fixed else "false"
-                out.write(
-                    f'{{"theta": {_fmt(theta)}, "delta": {_fmt(delta)}, '
-                    f'"discrepancy_angle": {_fmt(gap)}, "fixed_point": {flag}}}\n'
-                )
-    except OSError as exc:
-        print(f"error: writing {args.output}: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    deltas = np.linspace(delta_lo, delta_hi, args.delta_steps).tolist()
+    rows = []
+    for theta in np.linspace(theta_lo, theta_hi, args.theta_steps).tolist():  # row-major
+        basis = (math.sin(theta), 0.0, math.cos(theta))
+        for delta in deltas:
+            gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
+            rows.append((theta, delta, gap, gap < args.tol))
+    fields = ("theta", "delta", "discrepancy_angle", "fixed_point")
+    return _write_rows(args.output, args.format, fields, rows)
 
 
 def cmd_trajectory(args) -> int:
@@ -174,21 +179,10 @@ def cmd_trajectory(args) -> int:
     spec = EvolutionSpec(axis=axis, rate=rate, picture=PICTURE_NAMES[args.picture])
     try:
         samples = trajectory(spec, vector, args.t_start, args.t_end, args.steps)
-    except (BadRangeError, TooFewStepsError) as exc:
+    except ValueError as exc:  # bad grid, or rate * t overflowing to inf
         return _usage_error(str(exc))
-    if args.format == "csv":
-        print("time_label,vx,vy,vz")
-        for s in samples:
-            vx, vy, vz = s.vector
-            print(f"{_fmt(s.time_label)},{_fmt(vx)},{_fmt(vy)},{_fmt(vz)}")
-    else:
-        for s in samples:
-            vx, vy, vz = s.vector
-            print(
-                f'{{"time_label": {_fmt(s.time_label)}, "vx": {_fmt(vx)}, '
-                f'"vy": {_fmt(vy)}, "vz": {_fmt(vz)}}}'
-            )
-    return 0
+    rows = ((s.time_label, *s.vector.tolist()) for s in samples)
+    return _write_rows("-", args.format, ("time_label", "vx", "vy", "vz"), rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,19 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-qubit Bloch-vector dynamics in both dynamical pictures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    vector_arg = dict(type=finite_float, nargs=3, required=True, metavar=("X", "Y", "Z"))
+    range_arg = dict(type=finite_float, nargs=2, metavar=("MIN", "MAX"))
 
     p = sub.add_parser(
         "equiv-check",
         help="verify expectation values agree across pictures on Haar-random inputs",
     )
     p.add_argument("--trials", type=int, required=True, help="number of random trials (>= 1)")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (PCG64)")
+    p.add_argument("--seed", type=nonneg_int, required=True, help="RNG seed (PCG64, >= 0)")
     p.set_defaults(func=cmd_equiv_check)
 
     p = sub.add_parser("halting-demo", help="run the halting machine once, JSON report on stdout")
-    p.add_argument("--axis", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
-    p.add_argument("--delta", type=float, required=True, help="rotation angle")
-    p.add_argument("--system", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
+    p.add_argument("--axis", **vector_arg)
+    p.add_argument("--delta", type=finite_float, required=True, help="rotation angle")
+    p.add_argument("--system", **vector_arg)
     p.add_argument(
         "--picture",
         choices=sorted(PICTURE_NAMES),
@@ -227,34 +223,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-steps", type=int, required=True, help="grid points in delta (>= 2)")
     p.add_argument(
         "--theta-range",
-        type=float,
-        nargs=2,
+        **range_arg,
         default=(0.0, math.pi),
-        metavar=("MIN", "MAX"),
         help="polar angle of the basis vector from the z axis (default 0 pi)",
     )
     p.add_argument(
         "--delta-range",
-        type=float,
-        nargs=2,
+        **range_arg,
         default=(0.0, 2.0 * math.pi),
-        metavar=("MIN", "MAX"),
         help="rotation angle range (default 0 2*pi)",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="fixed-point tolerance in radians")
+    p.add_argument("--tol", type=finite_float, default=1e-9, help="fixed-point tolerance, radians")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (output order fixed)")
+    p.add_argument("--workers", type=int, default=1, help="accepted (>= 1) but has no effect")
     p.add_argument("--degrees", action="store_true", help="interpret ranges in degrees")
     p.set_defaults(func=cmd_self_ref_sweep)
 
     p = sub.add_parser("trajectory", help="sample one evolution on a uniform time grid")
     p.add_argument("--picture", choices=sorted(PICTURE_NAMES), required=True)
-    p.add_argument("--axis", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
-    p.add_argument("--rate", type=float, default=1.0, help="angle per unit time (default 1)")
-    p.add_argument("--input", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
-    p.add_argument("--t-start", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--axis", **vector_arg)
+    p.add_argument("--rate", type=finite_float, default=1.0, help="angle per unit time (default 1)")
+    p.add_argument("--input", **vector_arg)
+    p.add_argument("--t-start", type=finite_float, required=True)
+    p.add_argument("--t-end", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True, help="grid points incl. endpoints (>= 2)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--degrees", action="store_true", help="interpret --rate in degrees per unit time")

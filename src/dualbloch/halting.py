@@ -87,14 +87,13 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     Expectations are picture independent; the halt expectation is -1 after
     every run.
     """
+    u = make_unitary(machine.axis, machine.angle)
     if picture is Picture.SCHRODINGER:
-        u = make_unitary(machine.axis, machine.angle)
         system_out = rotate_state(u, machine.system)
         halt_out = rotate_state(SIGMA_X, machine.halt)
         system_basis_out = machine.system_basis
         halt_basis_out = machine.halt_basis
     elif picture is Picture.HEISENBERG:
-        u = make_unitary(machine.axis, machine.angle)
         system_out = machine.system
         halt_out = machine.halt
         system_basis_out = rotate_observable(u, machine.system_basis)
@@ -124,8 +123,9 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     u = make_unitary(axis, angle)
     schrodinger_output = rotate_state(u, basis)
     heisenberg_output = rotate_observable(u, basis)
-    dot = float(np.dot(schrodinger_output, heisenberg_output))
-    cross = float(np.linalg.norm(np.cross(schrodinger_output, heisenberg_output)))
+    (s0, s1, s2), (h0, h1, h2) = schrodinger_output.tolist(), heisenberg_output.tolist()
+    dot = s0 * h0 + s1 * h1 + s2 * h2
+    cross = math.hypot(s1 * h2 - s2 * h1, s2 * h0 - s0 * h2, s0 * h1 - s1 * h0)
     # atan2(|s x h|, s . h) equals arccos(s . h) but keeps angles near 0 and
     # pi at full precision; acos alone has a ~1e-8 noise floor there.
     gap = math.atan2(cross, dot)

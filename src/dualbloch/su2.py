@@ -43,41 +43,56 @@ def pauli(which: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {which!r}, expected 'x', 'y' or 'z'") from None
 
 
+def _unit_vector(components, name: str, error: type, slack: float | None) -> np.ndarray:
+    """Validate a 3-vector and return it scaled to unit norm.
+
+    With slack=None any nonzero finite vector passes; otherwise its norm must
+    lie within slack of 1.  math.hypot scales internally, so the norm is inf
+    only for non-finite input or a true norm beyond the largest float; both
+    are reported as non-finite components.
+    """
+    v = np.asarray(components, dtype=float)
+    if v.shape != (3,):
+        raise error(f"{name} must be a 3-vector, got shape {v.shape}")
+    norm = math.hypot(*v.tolist())
+    if not math.isfinite(norm):
+        raise error(f"{name} components must be finite")
+    if slack is None:
+        if norm == 0.0:
+            raise error("zero vector has no direction")
+    elif abs(norm - 1.0) >= slack:
+        raise error(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
+    return v / norm
+
+
 def unit_axis(components) -> np.ndarray:
     """Validate a rotation axis and return it normalized to machine precision.
 
     Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
     zero vector and anything farther from unit norm are rejected.
     """
-    n = np.asarray(components, dtype=float)
-    if n.shape != (3,):
-        raise AxisNotUnitError(f"axis must be a 3-vector, got shape {n.shape}")
-    if not np.all(np.isfinite(n)):
-        raise AxisNotUnitError("axis components must be finite")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) >= NORM_SLACK:
-        raise AxisNotUnitError(f"axis norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
-    return n / norm
+    return _unit_vector(components, "axis", AxisNotUnitError, NORM_SLACK)
 
 
 def make_unitary(axis, angle: float) -> np.ndarray:
     """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    n = unit_axis(axis)
+    x, y, z = unit_axis(axis).tolist()
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    half = 0.5 * angle
-    n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    return math.cos(half) * IDENTITY - 1j * math.sin(half) * n_dot_sigma
+    c = math.cos(0.5 * angle)
+    s = math.sin(0.5 * angle)
+    return np.array(
+        [
+            [complex(c, -s * z), complex(-s * y, -s * x)],
+            [complex(s * y, -s * x), complex(c, s * z)],
+        ]
+    )
 
 
-def exp_generator(pauli_axis, t: float) -> np.ndarray:
-    """Evolution operator exp(-i (axis . sigma) t / 2).
-
-    Alias of make_unitary(pauli_axis, t) so evolution code reads as a time
-    exponential; the two agree bit for bit.
-    """
-    return make_unitary(pauli_axis, t)
+# Evolution operator exp(-i (axis . sigma) t / 2): the same function under a
+# name that reads as a time exponential.
+exp_generator = make_unitary
 
 
 def adjoint(u) -> np.ndarray:

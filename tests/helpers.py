@@ -6,12 +6,17 @@ from pathlib import Path
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv):
-    """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes."""
+def cli_env():
+    """The environment for a CLI subprocess: this checkout's src/ first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes."""
     return subprocess.run(
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
         capture_output=True,
-        env=env,
+        env=cli_env(),
     )

@@ -20,7 +20,16 @@ from dualbloch.bloch import (
     rotate_state,
     state_to_density,
 )
-from dualbloch.su2 import IDENTITY, SIGMA_X, AxisNotUnitError, adjoint, compose, make_unitary
+from dualbloch.su2 import (
+    IDENTITY,
+    PAULIS,
+    SIGMA_X,
+    SIGMA_Y,
+    AxisNotUnitError,
+    adjoint,
+    compose,
+    make_unitary,
+)
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = np.array([0.0, 0.0, 1.0])
@@ -148,6 +157,24 @@ def test_measure_sample_rejects_zero_shots():
 def test_adjoint_rotation_of_identity_is_identity():
     np.testing.assert_array_equal(adjoint_rotation(IDENTITY), np.eye(3))
     np.testing.assert_array_equal(adjoint_rotation(-IDENTITY), np.eye(3))
+
+
+def _adjoint_rotation_by_traces(u):
+    # the definition R_ij = Tr(sigma_i u sigma_j u+) / 2, one triple product per column
+    u = np.asarray(u, dtype=complex)
+    return np.array(
+        [[0.5 * np.trace(s_i @ u @ s_j @ u.conj().T).real for s_j in PAULIS] for s_i in PAULIS]
+    )
+
+
+def test_adjoint_rotation_matches_the_trace_definition():
+    rng = np.random.default_rng(25)
+    specials = [SIGMA_X, SIGMA_Y, -IDENTITY]
+    haar = [haar_random_unitary(rng) for _ in range(300)]
+    phased = [np.exp(1j * rng.uniform(-7, 7)) * u for u in haar]
+    for u in specials + haar + phased:
+        diff = adjoint_rotation(u) - _adjoint_rotation_by_traces(u)
+        assert float(np.max(np.abs(diff))) <= 1e-15
 
 
 def test_adjoint_rotation_y_matches_component_formula():
@@ -345,6 +372,9 @@ def test_normalized_scales_any_nonzero_vector():
         normalized((0, 0, 0))
     with pytest.raises(ValueError):
         normalized((math.nan, 1, 0))
+    # the norm of these components overflows a plain sum of squares
+    half = math.sqrt(0.5)
+    np.testing.assert_allclose(normalized((1e308, 1e308, 0)), [half, half, 0.0], atol=1e-15)
 
 
 def test_is_rotation_rejects_reflections_and_scalings():

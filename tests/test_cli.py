@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import run_cli
+from helpers import cli_env, run_cli
 
 PI = math.pi
 
@@ -199,10 +202,52 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
         ("--theta-steps", "4", "--delta-steps", "4", "--tol", "0"),
         ("--theta-steps", "4", "--delta-steps", "4", "--theta-range", "2", "1"),
         ("--theta-steps", "4", "--delta-steps", "4", "--workers", "0"),
+        ("--theta-steps", "4", "--delta-steps", "4", "--theta-range", "0", "inf"),
+        ("--theta-steps", "4", "--delta-steps", "4", "--delta-range", "nan", "1"),
+        ("--theta-steps", "4", "--delta-steps", "4", "--tol", "nan"),
+        ("--theta-steps", "4", "--delta-steps", "4", "--tol", "inf"),
+        ("--theta-steps", "3", "--delta-steps", "3", "--delta-range", "-1e308", "1e308"),
     ],
 )
 def test_sweep_usage_errors(extra):
-    assert run_cli("self-ref-sweep", *extra).returncode == 2
+    proc = run_cli("self-ref-sweep", *extra)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+
+
+_TRAJECTORY = ("trajectory", "--picture", "schrodinger", "--input", "0", "0", "1",
+               "--t-start", "0", "--steps", "3")  # fmt: skip
+_HALTING = ("halting-demo", "--system", "0", "0", "1", "--picture", "schrodinger")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*_HALTING, "--axis", "0", "1", "0", "--delta", "nan"),
+        (*_HALTING, "--axis", "inf", "1", "0", "--delta", "1"),
+        (*_TRAJECTORY, "--axis", "0", "1", "0", "--rate", "inf", "--t-end", "1"),
+        (*_TRAJECTORY, "--axis", "0", "1", "0", "--t-end", "inf"),
+        (*_TRAJECTORY, "--axis", "0", "1", "0", "--rate", "1e300", "--t-end", "1e300"),
+        ("equiv-check", "--trials", "3", "--seed", "-1"),
+        ("equiv-check", "--trials", "3", "--seed", "1.5"),
+    ],
+)
+def test_nonfinite_or_out_of_range_input_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*_HALTING, "--axis", "1e308", "1e308", "0", "--delta", "1"),
+        (*_TRAJECTORY, "--axis", "1e308", "1e308", "0", "--t-end", "1"),
+    ],
+)
+def test_huge_axis_components_are_normalized_without_overflow(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------------ trajectory
@@ -257,6 +302,43 @@ def test_trajectory_usage_errors():
     assert run_cli(
         "trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1
     ).returncode == 2
+
+
+# ------------------------------------------------------------------ broken pipe
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("self-ref-sweep", "--theta-steps", "61", "--delta-steps", "61"),
+        ("trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
+         "--input", "1", "0", "0", "--t-start", "0", "--t-end", "3", "--steps", "5000"),
+    ],
+)  # fmt: skip
+def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
+    # Both outputs are larger than a pipe buffer, so the writer is still
+    # writing when the reader goes away after its first line.
+    with subprocess.Popen(
+        [sys.executable, "-m", "dualbloch", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b"error: writing -: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_output_device_exits_1_without_traceback():
+    proc = run_cli(
+        "self-ref-sweep", "--theta-steps", 3, "--delta-steps", 3, "--output", "/dev/full"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: writing /dev/full: ")
+    assert b"Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------- determinism
