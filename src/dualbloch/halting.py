@@ -14,11 +14,12 @@ angle is a multiple of pi, and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .bloch import bloch_vector, expectation, rotate_observable, rotate_state
+from .bloch import adjoint_rotation, bloch_vector, expectation, rotate_observable, rotate_state
 from .pictures import Picture
 from .su2 import SIGMA_X, make_unitary, unit_axis
 
@@ -36,17 +37,17 @@ class UnsupportedPictureError(ValueError):
 class HaltingMachine:
     """Rotation parameters plus the four unit vectors the machine acts on.
 
-    The halt qubit and its observable are pinned to (0, 0, 1) at
-    construction; the sigma_x flip applied by run() is what drives their
-    expectation to -1.
+    The halt qubit and its observable are both the read-only HALT_POLE,
+    (0, 0, 1), shared by every machine; the sigma_x flip applied by run()
+    is what drives their expectation to -1.
     """
 
     axis: np.ndarray
     angle: float
     system: np.ndarray
     system_basis: np.ndarray = (0.0, 0.0, 1.0)
-    halt: np.ndarray = field(init=False)
-    halt_basis: np.ndarray = field(init=False)
+    halt: ClassVar[np.ndarray] = HALT_POLE
+    halt_basis: ClassVar[np.ndarray] = HALT_POLE
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_axis(self.axis))
@@ -55,8 +56,6 @@ class HaltingMachine:
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "system", bloch_vector(self.system))
         object.__setattr__(self, "system_basis", bloch_vector(self.system_basis))
-        object.__setattr__(self, "halt", HALT_POLE.copy())
-        object.__setattr__(self, "halt_basis", HALT_POLE.copy())
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,16 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
 
     Returns the two outputs (rotation by +angle and by -angle about the
     axis), the geodesic angle between them, and the halt status, which is
-    true in both pictures regardless.
+    true in both pictures regardless.  One SO(3) matrix R gives both: R b
+    and R^T b, each renormalized as rotate_state does.
     """
-    u = make_unitary(axis, angle)
-    schrodinger_output = rotate_state(u, basis)
-    heisenberg_output = rotate_observable(u, basis)
+    r = adjoint_rotation(make_unitary(axis, angle))
+    basis = bloch_vector(basis)
+    schrodinger_output = r @ basis
+    schrodinger_output /= np.linalg.norm(schrodinger_output)
+    # R^T is R(U+) bit for bit; contiguous, it multiplies as rotate_observable does.
+    heisenberg_output = np.ascontiguousarray(r.T) @ basis
+    heisenberg_output /= np.linalg.norm(heisenberg_output)
     (s0, s1, s2), (h0, h1, h2) = schrodinger_output.tolist(), heisenberg_output.tolist()
     dot = s0 * h0 + s1 * h1 + s2 * h2
     cross = math.hypot(s1 * h2 - s2 * h1, s2 * h0 - s0 * h2, s0 * h1 - s1 * h0)

@@ -13,11 +13,11 @@ SU(2) period is 4*pi and ``make_unitary(n, d + 2*pi) == -make_unitary(n, d)``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 TOL_ALG = 1e-12    # max entrywise deviation tolerated from exact unitarity
-TOL_UNIT = 1e-9    # unit-norm invariant for axes and Bloch vectors
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -48,18 +48,22 @@ def _unit_vector(components, name: str, error: type, slack: float | None) -> np.
 
     With slack=None any nonzero finite vector passes; otherwise its norm must
     lie within slack of 1.  math.hypot scales internally, so the norm is inf
-    only for non-finite input or a true norm beyond the largest float; both
-    are reported as non-finite components.
+    only for non-finite input or a true norm beyond the largest float, and
+    only then are the components inspected.
     """
     v = np.asarray(components, dtype=float)
     if v.shape != (3,):
         raise error(f"{name} must be a 3-vector, got shape {v.shape}")
     norm = math.hypot(*v.tolist())
-    if not math.isfinite(norm):
+    if not math.isfinite(norm) and not np.all(np.isfinite(v)):
         raise error(f"{name} components must be finite")
     if slack is None:
         if norm == 0.0:
             raise error("zero vector has no direction")
+        if not sys.float_info.min <= norm < math.inf:
+            # Past the largest float, or subnormal: rescale, then measure.
+            v = v / np.max(np.abs(v))
+            norm = math.hypot(*v.tolist())
     elif abs(norm - 1.0) >= slack:
         raise error(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
     return v / norm

@@ -375,6 +375,10 @@ def test_normalized_scales_any_nonzero_vector():
     # the norm of these components overflows a plain sum of squares
     half = math.sqrt(0.5)
     np.testing.assert_allclose(normalized((1e308, 1e308, 0)), [half, half, 0.0], atol=1e-15)
+    # these overflow even math.hypot, and these have a subnormal norm
+    np.testing.assert_allclose(normalized((1.7e308, 1.7e308, 0)), [half, half, 0.0], atol=1e-15)
+    np.testing.assert_allclose(normalized((1e-320, 1e-320, 0)), [half, half, 0.0], atol=1e-15)
+    np.testing.assert_allclose(normalized((5e-324, 0, 5e-324)), [half, 0.0, half], atol=1e-15)
 
 
 def test_is_rotation_rejects_reflections_and_scalings():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,7 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dualbloch import cli
 from helpers import cli_env, run_cli
 
 PI = math.pi
@@ -207,6 +212,9 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
         ("--theta-steps", "4", "--delta-steps", "4", "--tol", "nan"),
         ("--theta-steps", "4", "--delta-steps", "4", "--tol", "inf"),
         ("--theta-steps", "3", "--delta-steps", "3", "--delta-range", "-1e308", "1e308"),
+        # argparse reads "-1e308" as an option; in positional notation the
+        # range reaches the width check
+        ("--theta-steps", "3", "--delta-steps", "3", "--delta-range", "-" + "9" * 308, "9" * 308),
     ],
 )
 def test_sweep_usage_errors(extra):
@@ -243,6 +251,8 @@ def test_nonfinite_or_out_of_range_input_is_a_usage_error(argv):
     [
         (*_HALTING, "--axis", "1e308", "1e308", "0", "--delta", "1"),
         (*_TRAJECTORY, "--axis", "1e308", "1e308", "0", "--t-end", "1"),
+        (*_HALTING, "--axis", "1.7e308", "1.7e308", "0", "--delta", "1"),
+        (*_TRAJECTORY, "--axis", "1.7e308", "1.7e308", "0", "--t-end", "1"),
     ],
 )
 def test_huge_axis_components_are_normalized_without_overflow(argv):
@@ -331,6 +341,29 @@ def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
     assert stderr == b"error: writing -: Broken pipe\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("equiv-check", "--trials", "3", "--seed", "1"),
+        ("halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
+         "--picture", "heisenberg"),
+    ],
+)  # fmt: skip
+def test_closed_pipe_exits_1_without_traceback(argv):
+    # The read end is closed before the command starts, so its one write fails.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualbloch", *argv], stdout=w, stderr=subprocess.PIPE,
+            env=cli_env(), timeout=60,
+        )  # fmt: skip
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: writing -: Broken pipe\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_output_device_exits_1_without_traceback():
     proc = run_cli(
@@ -372,3 +405,66 @@ def test_sweep_output_is_worker_count_independent():
     four = run_cli(*args, "--workers", 4)
     assert one.returncode == four.returncode == 0
     assert one.stdout == four.stdout
+
+
+# ------------------------------------------------------------ any numeric input
+
+
+def _text(x) -> str:
+    # Positional notation, because argparse reads "-1e-05" as an option
+    # string but takes "-0.00001" as a value.
+    return str(x) if isinstance(x, int) else np.format_float_positional(x, trim="-")
+
+
+_numbers = st.one_of(st.floats(), st.integers()).map(_text)
+# Trials and steps stay at 40 or below, so that every run is short.
+_counts = st.one_of(
+    st.floats(max_value=40), st.sampled_from([math.nan, math.inf]), st.integers(max_value=40)
+).map(_text)
+_vectors = st.lists(_numbers, min_size=3, max_size=3)
+_formats = st.sampled_from(["csv", "jsonl"])
+_degrees = st.sampled_from([[], ["--degrees"]])
+
+_argvs = st.one_of(
+    st.builds(
+        lambda trials, seed: ["equiv-check", "--trials", trials, "--seed", seed],
+        _counts, _numbers,
+    ),
+    st.builds(
+        lambda axis, delta, system, picture, degrees: [
+            "halting-demo", "--axis", *axis, "--delta", delta, "--system", *system,
+            "--picture", picture, *degrees,
+        ],
+        _vectors, _numbers, _vectors, st.sampled_from(["heisenberg", "schrodinger"]), _degrees,
+    ),
+    st.builds(
+        lambda steps, ranges, tol, workers, fmt, degrees: [
+            "self-ref-sweep", "--theta-steps", steps[0], "--delta-steps", steps[1],
+            "--theta-range", *ranges[:2], "--delta-range", *ranges[2:], "--tol", tol,
+            "--workers", workers, "--format", fmt, *degrees,
+        ],
+        st.tuples(_counts, _counts), st.lists(_numbers, min_size=4, max_size=4), _numbers,
+        _numbers, _formats, _degrees,
+    ),
+    st.builds(
+        lambda picture, axis, rate, vector, t, steps, fmt, degrees: [
+            "trajectory", "--picture", picture, "--axis", *axis, "--rate", rate,
+            "--input", *vector, "--t-start", t[0], "--t-end", t[1], "--steps", steps,
+            "--format", fmt, *degrees,
+        ],
+        st.sampled_from(["schrodinger", "heisenberg", "heisenberg-reversed"]), _vectors,
+        _numbers, _vectors, st.tuples(_numbers, _numbers), _counts, _formats, _degrees,
+    ),
+)  # fmt: skip
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs)
+@example([*_HALTING, "--delta", "1", "--axis", "1e-320", "1e-320", "0"])  # subnormal norm
+def test_any_numeric_input_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)

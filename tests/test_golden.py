@@ -6,6 +6,7 @@ the files from the root of a checkout and review the diff:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,27 @@ def test_output_matches_golden_file(name):
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
+def regenerate(cases, directory: Path) -> int:
+    """Run every case and write its stdout to directory.  Writes nothing and
+    returns 1 if any case exits non-zero or writes to stderr."""
+    outputs = {}
+    for name, argv in cases.items():
+        proc = run_cli(*argv)
+        if proc.returncode or proc.stderr:
+            print(f"{name}: exit {proc.returncode}, stderr {proc.stderr!r}", file=sys.stderr)
+            return 1
+        outputs[name] = proc.stdout
+    directory.mkdir(exist_ok=True)
+    for name, out in outputs.items():
+        (directory / name).write_bytes(out)
+    return 0
+
+
+def test_regenerate_refuses_a_failing_command(tmp_path):
+    cases = {"ok.txt": CASES["equiv-check.txt"], "bad.txt": ("equiv-check", "--trials", "0")}
+    assert regenerate(cases, tmp_path) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_bytes(run_cli(*argv).stdout)
+    sys.exit(regenerate(CASES, GOLDEN))

@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dualbloch.bloch import adjoint_rotation, expectation, haar_random_unitary, random_unit_vector
+from dualbloch.bloch import (
+    adjoint_rotation,
+    expectation,
+    haar_random_unitary,
+    random_unit_vector,
+    rotate_observable,
+    rotate_state,
+)
 from dualbloch.halting import (
+    HALT_POLE,
     HaltingMachine,
     UnsupportedPictureError,
     discrepancy_closed_form,
@@ -14,7 +22,7 @@ from dualbloch.halting import (
     self_reference,
 )
 from dualbloch.pictures import Picture
-from dualbloch.su2 import AxisNotUnitError
+from dualbloch.su2 import AxisNotUnitError, make_unitary
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -38,6 +46,13 @@ def test_machine_pins_halt_vectors_at_construction():
     np.testing.assert_array_equal(m.halt_basis, [0.0, 0.0, 1.0])
     # and the pre-run halt expectation is +1 by construction
     assert expectation(m.halt_basis, m.halt) == 1.0
+
+
+def test_machines_share_the_read_only_halt_pole():
+    a = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS)
+    b = HaltingMachine(axis=Z_AXIS, angle=2.0, system=Y_AXIS)
+    assert a.halt is a.halt_basis is b.halt is HALT_POLE
+    assert not HALT_POLE.flags.writeable
 
 
 def test_machine_is_immutable():
@@ -124,6 +139,19 @@ def test_self_reference_quarter_turn_splits_by_pi():
     np.testing.assert_allclose(report.heisenberg_output, [-1, 0, 0], atol=1e-15)
     assert abs(report.discrepancy_angle - math.pi) < 1e-12
     assert report.halted_in_both
+
+
+def test_self_reference_outputs_are_the_two_transports_bit_for_bit():
+    # One SO(3) matrix serves both readings; the outputs must not drift from
+    # rotate_state and rotate_observable by even one ulp.
+    rng = np.random.default_rng(63)
+    for _ in range(300):
+        axis, basis = random_unit_vector(rng), random_unit_vector(rng)
+        delta = float(rng.uniform(-4 * math.pi, 4 * math.pi))
+        u = make_unitary(axis, delta)
+        report = self_reference(axis, delta, basis)
+        np.testing.assert_array_equal(report.schrodinger_output, rotate_state(u, basis))
+        np.testing.assert_array_equal(report.heisenberg_output, rotate_observable(u, basis))
 
 
 def test_self_reference_on_axis_basis_agrees():

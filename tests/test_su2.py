@@ -101,6 +101,7 @@ def test_unit_axis_renormalizes_small_drift():
         (0.0, 1.1, 0.0),
         (0.0, 1.0 - 2e-6, 0.0),
         (math.nan, 0.0, 1.0),
+        (1.7e308, 1.7e308, 0.0),  # finite, but its norm is beyond the largest float
         (1.0, 0.0),
         (1.0, 0.0, 0.0, 0.0),
     ],
