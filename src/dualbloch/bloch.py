@@ -15,10 +15,7 @@ import math
 
 import numpy as np
 
-from .su2 import IDENTITY, NORM_SLACK, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, adjoint, unit_axis
-from .su2 import _unit_vector
-
-TOL_ROT = 1e-10  # orthogonality / determinant tolerance for 3x3 rotations
+from .su2 import IDENTITY, NORM_SLACK, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, _unit3, unit_axis
 
 
 class NotAStateError(ValueError):
@@ -35,12 +32,17 @@ def bloch_vector(components) -> np.ndarray:
     Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
     unit norm pass (and are renormalized), everything else is rejected.
     """
-    return _unit_vector(components, "Bloch vector", ValueError, NORM_SLACK)
+    return np.array(_bloch3(components))
+
+
+def _bloch3(components) -> tuple[float, float, float]:
+    """The components of bloch_vector(components), as floats."""
+    return _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
 
 
 def normalized(components) -> np.ndarray:
     """Scale an arbitrary nonzero 3-vector onto the unit sphere."""
-    return _unit_vector(components, "vector", ValueError, None)
+    return np.array(_unit3(components, "vector", ValueError, None))
 
 
 def state_to_density(v) -> np.ndarray:
@@ -75,7 +77,9 @@ def expectation(e, v) -> float:
     Round-off overshoots beyond +-1 smaller than 1e-12 are clamped; anything
     larger is returned as computed.
     """
-    d = float(np.dot(bloch_vector(e), bloch_vector(v)))
+    ex, ey, ez = _bloch3(e)
+    vx, vy, vz = _bloch3(v)
+    d = ex * vx + ey * vy + ez * vz
     if 1.0 < abs(d) < 1.0 + 1e-12:
         d = math.copysign(1.0, d)
     return d
@@ -96,49 +100,74 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     return np.where(rng.random(shots) < p_plus, 1, -1)
 
 
-def adjoint_rotation(u) -> np.ndarray:
-    """3x3 rotation carried by conjugation: R_ij = Tr(sigma_i u sigma_j u+) / 2.
+def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ...]:
+    """The nine entries, row by row, of the SO(3) matrix of [[a, b], [c, d]].
 
-    R is special orthogonal, and u and -u produce the same R (the
-    SU(2) -> SO(3) double cover kills the sign).
+    These are the traces Tr(sigma_i u sigma_j u+) / 2, expanded on the
+    entries of u.
     """
-    (a, b), (c, d) = np.asarray(u, dtype=complex).tolist()
-    # The nine traces, expanded on the entries of u.
     p = a * d.conjugate()
     q = b * c.conjugate()
     x = a * c.conjugate() - b * d.conjugate()
     y = a * b.conjugate() - c * d.conjugate()
-    return np.array(
-        [
-            [(p + q).real, (p - q).imag, x.real],
-            [-(p + q).imag, (p - q).real, -x.imag],
-            [y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2)],
-        ]
-    )
+    return (
+        (p + q).real, (p - q).imag, x.real,
+        -(p + q).imag, (p - q).real, -x.imag,
+        y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
+    )  # fmt: skip
 
 
-def is_rotation(r, tol: float = TOL_ROT) -> bool:
-    """True when r is 3x3 with r r^T = I and det r = +1 within tol."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
-        return False
-    if float(np.max(np.abs(r @ r.T - np.eye(3)))) > tol:
-        return False
-    return abs(float(np.linalg.det(r)) - 1.0) <= tol
+def _rotation_of(u) -> tuple[float, ...]:
+    """_rotation on the entries of the 2x2 matrix u."""
+    (a, b), (c, d) = np.asarray(u, dtype=complex).tolist()
+    return _rotation(a, b, c, d)
+
+
+def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: bool):
+    """R v, or R^T v when inverse, renormalized to unit length.
+
+    r holds the nine entries of R row by row and v three floats.  For u in
+    SU(2) (|b| = |c|), R^T is the _rotation of u+ bit for bit.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    if inverse:
+        r01, r02, r10, r12, r20, r21 = r10, r20, r01, r21, r02, r12
+    x, y, z = v
+    wx = r00 * x + r01 * y + r02 * z
+    wy = r10 * x + r11 * y + r12 * z
+    wz = r20 * x + r21 * y + r22 * z
+    norm = math.hypot(wx, wy, wz)
+    return wx / norm, wy / norm, wz / norm
+
+
+def adjoint_rotation(u) -> np.ndarray:
+    """3x3 rotation carried by conjugation: R_ij = Tr(sigma_i u sigma_j u+) / 2.
+
+    R is special orthogonal, and u and -u produce the same R (the
+    SU(2) -> SO(3) double cover kills the sign).  For u in SU(2) the
+    rotation of adjoint(u) is R^T bit for bit.
+    """
+    return np.array(_rotation_of(u)).reshape(3, 3)
 
 
 def rotate_state(u, v) -> np.ndarray:
-    """Schrodinger transport v -> U v U+ in Bloch-vector form.
+    """Schrodinger transport v -> U v U+ in Bloch-vector form: R v, with R
+    the adjoint rotation of u.
 
     The result is renormalized to machine precision before return.
     """
-    w = adjoint_rotation(u) @ bloch_vector(v)
-    return w / np.linalg.norm(w)
+    r = _rotation_of(u)
+    return np.array(_transport(r, _bloch3(v), inverse=False))
 
 
 def rotate_observable(u, e) -> np.ndarray:
-    """Heisenberg transport e -> U+ e U; the inverse rotation of rotate_state."""
-    return rotate_state(adjoint(u), e)
+    """Heisenberg transport e -> U+ e U: R^T e, the inverse rotation of rotate_state.
+
+    For u in SU(2) this is rotate_state(adjoint(u), e) bit for bit, without
+    building adjoint(u).
+    """
+    r = _rotation_of(u)
+    return np.array(_transport(r, _bloch3(e), inverse=True))
 
 
 def rodrigues(axis, angle, v) -> np.ndarray:
@@ -160,21 +189,16 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     Four standard normals normalized to (a, b, c, d) map to
     [[a + ib, c + id], [-c + id, a - ib]], whose determinant is |q|^2 = 1.
     """
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    a, b, c, d = q
-    return np.array(
-        [
-            [a + 1j * b, c + 1j * d],
-            [-c + 1j * d, a - 1j * b],
-        ]
-    )
+    a, b, c, d = rng.normal(size=4).tolist()
+    norm = math.hypot(a, b, c, d)
+    a, b, c, d = a / norm, b / norm, c / norm, d / norm
+    return np.array([[complex(a, b), complex(c, d)], [complex(-c, d), complex(a, -b)]])
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     """Uniform direction on the unit sphere (three normals, normalized)."""
     while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
+        x, y, z = rng.normal(size=3).tolist()
+        norm = math.hypot(x, y, z)
         if norm > 1e-12:
-            return v / norm
+            return np.array((x / norm, y / norm, z / norm))

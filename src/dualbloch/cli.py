@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -32,6 +33,9 @@ from .halting import HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
+# Every negative value float() reads: argparse's own pattern knows only plain
+# decimals and takes "-1e-3", "-inf" or "-nan" for an option string.
+NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 Z_AXIS = (0.0, 0.0, 1.0)
 
@@ -242,6 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="interpret --rate in degrees per unit time")
     p.set_defaults(func=cmd_trajectory)
 
+    # No option here looks like a number, so a token that does is a value.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

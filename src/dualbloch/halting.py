@@ -19,9 +19,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bloch import adjoint_rotation, bloch_vector, expectation, rotate_observable, rotate_state
+from .bloch import _bloch3, _rotation, _transport, bloch_vector, expectation
+from .bloch import rotate_observable, rotate_state
 from .pictures import Picture
-from .su2 import SIGMA_X, make_unitary, unit_axis
+from .su2 import SIGMA_X, _entries, make_unitary, unit_axis
 
 HALT_POLE = np.array([0.0, 0.0, 1.0])
 HALT_POLE.setflags(write=False)
@@ -118,24 +119,20 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     Returns the two outputs (rotation by +angle and by -angle about the
     axis), the geodesic angle between them, and the halt status, which is
     true in both pictures regardless.  One SO(3) matrix R gives both: R b
-    and R^T b, each renormalized as rotate_state does.
+    and R^T b, the transports of rotate_state and rotate_observable.
     """
-    r = adjoint_rotation(make_unitary(axis, angle))
-    basis = bloch_vector(basis)
-    schrodinger_output = r @ basis
-    schrodinger_output /= np.linalg.norm(schrodinger_output)
-    # R^T is R(U+) bit for bit; contiguous, it multiplies as rotate_observable does.
-    heisenberg_output = np.ascontiguousarray(r.T) @ basis
-    heisenberg_output /= np.linalg.norm(heisenberg_output)
-    (s0, s1, s2), (h0, h1, h2) = schrodinger_output.tolist(), heisenberg_output.tolist()
+    r = _rotation(*_entries(axis, angle))
+    basis = _bloch3(basis)
+    s0, s1, s2 = schrodinger_output = _transport(r, basis, inverse=False)
+    h0, h1, h2 = heisenberg_output = _transport(r, basis, inverse=True)
     dot = s0 * h0 + s1 * h1 + s2 * h2
     cross = math.hypot(s1 * h2 - s2 * h1, s2 * h0 - s0 * h2, s0 * h1 - s1 * h0)
     # atan2(|s x h|, s . h) equals arccos(s . h) but keeps angles near 0 and
     # pi at full precision; acos alone has a ~1e-8 noise floor there.
     gap = math.atan2(cross, dot)
     return SelfRefReport(
-        schrodinger_output=schrodinger_output,
-        heisenberg_output=heisenberg_output,
+        schrodinger_output=np.array(schrodinger_output),
+        heisenberg_output=np.array(heisenberg_output),
         discrepancy_angle=gap,
         halted_in_both=True,
     )

@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import bloch_vector, rotate_observable, rotate_state
-from .su2 import exp_generator, unit_axis
+from .bloch import _bloch3, _rotation, _transport, bloch_vector
+from .su2 import _entries, unit_axis
 
 
 class Picture(Enum):
@@ -69,12 +69,13 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> np.ndarray:
     """Evolve a unit vector for time t under the given generator and picture.
 
     The reversed Heisenberg reading returns the same vector as Heisenberg at
-    the same physical t; the two differ only in trajectory labeling.
+    the same physical t; the two differ only in trajectory labeling.  The
+    result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
+    of exp_generator(axis, rate * t), bit for bit.
     """
-    u = exp_generator(spec.axis, spec.rate * float(t))
-    if spec.picture is Picture.SCHRODINGER:
-        return rotate_state(u, vector)
-    return rotate_observable(u, vector)
+    r = _rotation(*_entries(spec.axis, spec.rate * float(t)))
+    inverse = spec.picture is not Picture.SCHRODINGER
+    return np.array(_transport(r, _bloch3(vector), inverse))
 
 
 def trajectory(

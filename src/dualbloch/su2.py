@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-TOL_ALG = 1e-12    # max entrywise deviation tolerated from exact unitarity
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -43,8 +42,8 @@ def pauli(which: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {which!r}, expected 'x', 'y' or 'z'") from None
 
 
-def _unit_vector(components, name: str, error: type, slack: float | None) -> np.ndarray:
-    """Validate a 3-vector and return it scaled to unit norm.
+def _unit3(components, name: str, error: type, slack: float | None) -> tuple[float, float, float]:
+    """Validate a 3-vector and return its components scaled to unit norm.
 
     With slack=None any nonzero finite vector passes; otherwise its norm must
     lie within slack of 1.  math.hypot scales internally, so the norm is inf
@@ -54,19 +53,21 @@ def _unit_vector(components, name: str, error: type, slack: float | None) -> np.
     v = np.asarray(components, dtype=float)
     if v.shape != (3,):
         raise error(f"{name} must be a 3-vector, got shape {v.shape}")
-    norm = math.hypot(*v.tolist())
-    if not math.isfinite(norm) and not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()
+    norm = math.hypot(x, y, z)
+    if not math.isfinite(norm) and not all(map(math.isfinite, (x, y, z))):
         raise error(f"{name} components must be finite")
     if slack is None:
         if norm == 0.0:
             raise error("zero vector has no direction")
         if not sys.float_info.min <= norm < math.inf:
             # Past the largest float, or subnormal: rescale, then measure.
-            v = v / np.max(np.abs(v))
-            norm = math.hypot(*v.tolist())
+            m = max(abs(x), abs(y), abs(z))
+            x, y, z = x / m, y / m, z / m
+            norm = math.hypot(x, y, z)
     elif abs(norm - 1.0) >= slack:
         raise error(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
-    return v / norm
+    return x / norm, y / norm, z / norm
 
 
 def unit_axis(components) -> np.ndarray:
@@ -75,23 +76,24 @@ def unit_axis(components) -> np.ndarray:
     Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
     zero vector and anything farther from unit norm are rejected.
     """
-    return _unit_vector(components, "axis", AxisNotUnitError, NORM_SLACK)
+    return np.array(_unit3(components, "axis", AxisNotUnitError, NORM_SLACK))
 
 
-def make_unitary(axis, angle: float) -> np.ndarray:
-    """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    x, y, z = unit_axis(axis).tolist()
+def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
+    """Entries (a, b, c, d), row by row, of make_unitary(axis, angle)."""
+    x, y, z = _unit3(axis, "axis", AxisNotUnitError, NORM_SLACK)
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
-    return np.array(
-        [
-            [complex(c, -s * z), complex(-s * y, -s * x)],
-            [complex(s * y, -s * x), complex(c, s * z)],
-        ]
-    )
+    return complex(c, -s * z), complex(-s * y, -s * x), complex(s * y, -s * x), complex(c, s * z)
+
+
+def make_unitary(axis, angle: float) -> np.ndarray:
+    """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
+    a, b, c, d = _entries(axis, angle)
+    return np.array([[a, b], [c, d]])
 
 
 # Evolution operator exp(-i (axis . sigma) t / 2): the same function under a
@@ -108,35 +110,3 @@ def adjoint(u) -> np.ndarray:
 def compose(a, b) -> np.ndarray:
     """Matrix product a @ b (apply b first when acting on kets)."""
     return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def is_unitary(u, tol: float = TOL_ALG) -> bool:
-    """True when u is 2x2, finite, and u u+ = I within tol (entrywise)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.all(np.isfinite(u)):
-        return False
-    return float(np.max(np.abs(u @ u.conj().T - IDENTITY))) <= tol
-
-
-def equal_entrywise(a, b, tol: float = TOL_ALG) -> bool:
-    """Strict equality: max entrywise deviation at most tol."""
-    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return float(np.max(np.abs(diff))) <= tol
-
-
-def equal_up_to_phase(a, b, tol: float = TOL_ALG) -> bool:
-    """Projective equality: a = phase * b for some unit complex phase.
-
-    A global phase is invisible to conjugation on Bloch vectors, so this is
-    the physically meaningful comparison between unitaries.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    i = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[i]) == 0.0 or abs(a[i]) == 0.0:
-        return equal_entrywise(a, b, tol)
-    phase = a[i] / b[i]
-    phase /= abs(phase)
-    return equal_entrywise(a, phase * b, tol)

@@ -12,7 +12,6 @@ from dualbloch.bloch import (
     adjoint_rotation,
     expectation,
     haar_random_unitary,
-    is_rotation,
     measure_sample,
     random_unit_vector,
     rodrigues,
@@ -29,7 +28,7 @@ from dualbloch.halting import (
 from dualbloch.pictures import Picture, reversed_label_equivalence
 from dualbloch.su2 import adjoint, compose, exp_generator, make_unitary
 
-from helpers import run_cli
+from helpers import is_rotation, run_cli
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)

@@ -11,7 +11,6 @@ from dualbloch.bloch import (
     density_to_state,
     expectation,
     haar_random_unitary,
-    is_rotation,
     measure_sample,
     normalized,
     random_unit_vector,
@@ -30,6 +29,8 @@ from dualbloch.su2 import (
     compose,
     make_unitary,
 )
+
+from helpers import is_rotation
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = np.array([0.0, 0.0, 1.0])

@@ -212,8 +212,7 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
         ("--theta-steps", "4", "--delta-steps", "4", "--tol", "nan"),
         ("--theta-steps", "4", "--delta-steps", "4", "--tol", "inf"),
         ("--theta-steps", "3", "--delta-steps", "3", "--delta-range", "-1e308", "1e308"),
-        # argparse reads "-1e308" as an option; in positional notation the
-        # range reaches the width check
+        # the same overflowing width in positional notation
         ("--theta-steps", "3", "--delta-steps", "3", "--delta-range", "-" + "9" * 308, "9" * 308),
     ],
 )
@@ -226,6 +225,36 @@ def test_sweep_usage_errors(extra):
 _TRAJECTORY = ("trajectory", "--picture", "schrodinger", "--input", "0", "0", "1",
                "--t-start", "0", "--steps", "3")  # fmt: skip
 _HALTING = ("halting-demo", "--system", "0", "0", "1", "--picture", "schrodinger")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0",
+             "0", "1", "--t-start", "-1e-3", "--t-end", "1", "--steps", "3"),
+            0, b"",
+        ),
+        ((*_HALTING, "--axis", "-1e-3", "0", "1", "--delta", "1"), 0, b""),
+        (
+            ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0",
+             "0", "1", "--t-start", "-inf", "--t-end", "1", "--steps", "3"),
+            2, b"must be finite",
+        ),
+        (
+            ("self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3",
+             "--delta-range", "-1e308", "1e308"),
+            2, b"ranges must be ordered",
+        ),
+    ],
+    ids=["t-start -1e-3", "axis -1e-3", "t-start -inf", "delta-range -1e308"],
+)  # fmt: skip
+def test_negative_values_in_exponent_form_reach_the_type_check(argv, code, message):
+    # argparse's own pattern reads "-1e-3" and "-inf" as option strings.
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert b"expected" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -410,17 +439,22 @@ def test_sweep_output_is_worker_count_independent():
 # ------------------------------------------------------------ any numeric input
 
 
-def _text(x) -> str:
-    # Positional notation, because argparse reads "-1e-05" as an option
-    # string but takes "-0.00001" as a value.
+def _positional(x) -> str:
     return str(x) if isinstance(x, int) else np.format_float_positional(x, trim="-")
 
 
-_numbers = st.one_of(st.floats(), st.integers()).map(_text)
+def _spelled(numbers):
+    """Each number in repr form ("-1e-05", "-inf") or positional ("-0.00001")."""
+    return st.one_of(numbers.map(repr), numbers.map(_positional))
+
+
+_numbers = _spelled(st.one_of(st.floats(), st.integers()))
 # Trials and steps stay at 40 or below, so that every run is short.
-_counts = st.one_of(
-    st.floats(max_value=40), st.sampled_from([math.nan, math.inf]), st.integers(max_value=40)
-).map(_text)
+_counts = _spelled(
+    st.one_of(
+        st.floats(max_value=40), st.sampled_from([math.nan, math.inf]), st.integers(max_value=40)
+    )
+)
 _vectors = st.lists(_numbers, min_size=3, max_size=3)
 _formats = st.sampled_from(["csv", "jsonl"])
 _degrees = st.sampled_from([[], ["--degrees"]])

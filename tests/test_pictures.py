@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualbloch.bloch import expectation, random_unit_vector
+from dualbloch.bloch import expectation, random_unit_vector, rotate_observable, rotate_state
 from dualbloch.pictures import (
     BadRangeError,
     EmptyGridError,
@@ -58,6 +58,19 @@ def test_reversed_reading_shares_the_heisenberg_flow():
         v = random_unit_vector(rng)
         t = float(rng.uniform(-5, 5))
         np.testing.assert_array_equal(evolve(HEIS_REV, v, t), evolve(HEIS, v, t))
+
+
+def test_evolve_is_the_public_transport_bit_for_bit():
+    rng = np.random.default_rng(52)
+    for _ in range(300):
+        axis, rate = random_unit_vector(rng), float(rng.uniform(-3, 3))
+        t = float(rng.uniform(-10, 10))
+        v = random_unit_vector(rng)
+        schro, heis, heis_rev = (EvolutionSpec(axis, rate, picture) for picture in Picture)
+        u = exp_generator(schro.axis, rate * t)
+        np.testing.assert_array_equal(evolve(schro, v, t), rotate_state(u, v))
+        np.testing.assert_array_equal(evolve(heis, v, t), rotate_observable(u, v))
+        np.testing.assert_array_equal(evolve(heis_rev, v, t), rotate_observable(u, v))
 
 
 def test_evolve_respects_rate():

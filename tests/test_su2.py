@@ -13,14 +13,13 @@ from dualbloch.su2 import (
     AxisNotUnitError,
     adjoint,
     compose,
-    equal_entrywise,
-    equal_up_to_phase,
     exp_generator,
-    is_unitary,
     make_unitary,
     pauli,
     unit_axis,
 )
+
+from helpers import equal_entrywise, equal_up_to_phase, is_unitary
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
