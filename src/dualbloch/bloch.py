@@ -64,11 +64,8 @@ def density_to_state(m) -> np.ndarray:
         raise NotAStateError("density matrix must be Hermitian")
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise NotAStateError(f"density matrix trace {np.trace(m)!r} must be 1")
-    v = np.array([np.trace(s @ m).real for s in PAULIS])
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) >= NORM_SLACK:
-        raise NotAStateError(f"Bloch norm {norm!r} is not 1: not a pure state")
-    return v / norm
+    traces = [np.trace(s @ m).real for s in PAULIS]
+    return np.array(_unit3(traces, "pure-state Bloch vector", NotAStateError, NORM_SLACK))
 
 
 def expectation(e, v) -> float:

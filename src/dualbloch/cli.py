@@ -3,9 +3,10 @@ sweeps, and trajectory traces as plot-ready CSV or JSON-Lines.
 
 Data goes to stdout, all of it through _write; diagnostics go to stderr.
 Exit codes: 0 success or property holds, 1 property violated or I/O failure
-(a closed pipe included), 2 usage error.  The parser checks each flag; the
-commands check only how flags relate and what the library rejects.  Angles
-are radians unless --degrees is given.  Randomized commands take an
+(a closed pipe included), 2 usage error, always reported by argparse.  The
+parser checks each flag; the commands check only how flags relate and what
+the library rejects, and report that through the subcommand's parser.error.
+Angles are radians unless --degrees is given.  Randomized commands take an
 explicit --seed; there is no wall-clock default.
 """
 
@@ -115,11 +116,6 @@ def _write(path: str, lines) -> int:
     return 0
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_equiv_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
@@ -142,9 +138,7 @@ def cmd_halting_demo(args) -> int:
     machine = HaltingMachine(axis=args.axis, angle=delta, system=args.system)
     report = run(machine, Picture(args.picture))
     doc = dict(vars(report), picture=report.picture.value)  # keys in RunReport field order
-    for key in ("system_out", "halt_out", "system_basis_out", "halt_basis_out"):
-        doc[key] = doc[key].tolist()
-    return _write("-", [json.dumps(doc) + "\n"])
+    return _write("-", [json.dumps(doc, default=np.ndarray.tolist) + "\n"])
 
 
 def cmd_self_ref_sweep(args) -> int:
@@ -155,7 +149,7 @@ def cmd_self_ref_sweep(args) -> int:
         delta_lo, delta_hi = math.radians(delta_lo), math.radians(delta_hi)
     # Finite bounds with min < max have a positive width, which may still overflow.
     if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
-        return _usage_error("ranges must be ordered min < max and of finite width")
+        args.error("ranges must be ordered min < max and of finite width")
 
     deltas = np.linspace(delta_lo, delta_hi, args.delta_steps).tolist()
     rows = []
@@ -174,7 +168,7 @@ def cmd_trajectory(args) -> int:
     try:
         samples = trajectory(spec, args.input, args.t_start, args.t_end, args.steps)
     except ValueError as exc:  # t_start >= t_end, or rate * t overflowing to inf
-        return _usage_error(str(exc))
+        args.error(str(exc))
     rows = ((s.time_label, *s.vector.tolist()) for s in samples)
     return _write("-", _lines(args.format, ("time_label", "vx", "vy", "vz"), rows))
 
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     p.add_argument("--workers", type=count, default=1, help="accepted (>= 1) but has no effect")
     p.add_argument("--degrees", action="store_true", help="interpret ranges in degrees")
-    p.set_defaults(func=cmd_self_ref_sweep)
+    p.set_defaults(func=cmd_self_ref_sweep, error=p.error)
 
     p = sub.add_parser("trajectory", help="sample one evolution on a uniform time grid")
     p.add_argument("--picture", choices=[pic.value for pic in Picture], required=True)
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=grid, required=True, help="grid points incl. endpoints (>= 2)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--degrees", action="store_true", help="interpret --rate in degrees per unit time")
-    p.set_defaults(func=cmd_trajectory)
+    p.set_defaults(func=cmd_trajectory, error=p.error)
 
     # No option here looks like a number, so a token that does is a value.
     for p in (parser, *sub.choices.values()):

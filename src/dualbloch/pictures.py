@@ -93,8 +93,7 @@ def trajectory(
         raise BadRangeError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     samples = []
-    for t in np.linspace(float(t_start), float(t_end), int(steps)):
-        t = float(t)
+    for t in np.linspace(float(t_start), float(t_end), int(steps)).tolist():
         # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
         label = 0.0 - t if reversed_labels else t
         samples.append(TrajectorySample(label, evolve(spec, vector, t), spec.picture))
