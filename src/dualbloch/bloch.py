@@ -115,8 +115,17 @@ def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ..
 
 
 def _rotation_of(u) -> tuple[float, ...]:
-    """_rotation on the entries of the 2x2 matrix u."""
-    (a, b), (c, d) = np.asarray(u, dtype=complex).tolist()
+    """_rotation on the entries of u, which must be 2x2 and unitary within
+    NORM_SLACK: rows of unit norm, and orthogonal.  Each test fails on NaN."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"matrix must be 2x2, got shape {u.shape}")
+    (a, b), (c, d) = u.tolist()
+    n0 = (a * a.conjugate() + b * b.conjugate()).real
+    n1 = (c * c.conjugate() + d * d.conjugate()).real
+    overlap = abs(a * c.conjugate() + b * d.conjugate())
+    if not (abs(n0 - 1.0) < NORM_SLACK and abs(n1 - 1.0) < NORM_SLACK and overlap < NORM_SLACK):
+        raise ValueError(f"matrix is not unitary: row norms^2 {n0!r}, {n1!r}, overlap {overlap!r}")
     return _rotation(a, b, c, d)
 
 
@@ -140,31 +149,30 @@ def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: boo
 def adjoint_rotation(u) -> np.ndarray:
     """3x3 rotation carried by conjugation: R_ij = Tr(sigma_i u sigma_j u+) / 2.
 
-    R is special orthogonal, and u and -u produce the same R (the
-    SU(2) -> SO(3) double cover kills the sign).  For u in SU(2) the
-    rotation of adjoint(u) is R^T bit for bit.
+    u must be a 2x2 unitary within NORM_SLACK (rows of unit norm, and
+    orthogonal); anything else raises ValueError.  R is special orthogonal,
+    and u and -u produce the same R (the SU(2) -> SO(3) double cover kills
+    the sign).  For u in SU(2) the rotation of adjoint(u) is R^T bit for bit.
     """
     return np.array(_rotation_of(u)).reshape(3, 3)
 
 
 def rotate_state(u, v) -> np.ndarray:
     """Schrodinger transport v -> U v U+ in Bloch-vector form: R v, with R
-    the adjoint rotation of u.
+    the adjoint rotation of u (a u that is not unitary raises ValueError).
 
     The result is renormalized to machine precision before return.
     """
-    r = _rotation_of(u)
-    return np.array(_transport(r, _bloch3(v), inverse=False))
+    return np.array(_transport(_rotation_of(u), _bloch3(v), inverse=False))
 
 
 def rotate_observable(u, e) -> np.ndarray:
     """Heisenberg transport e -> U+ e U: R^T e, the inverse rotation of rotate_state.
 
     For u in SU(2) this is rotate_state(adjoint(u), e) bit for bit, without
-    building adjoint(u).
+    building adjoint(u).  A u that is not unitary raises ValueError.
     """
-    r = _rotation_of(u)
-    return np.array(_transport(r, _bloch3(e), inverse=True))
+    return np.array(_transport(_rotation_of(u), _bloch3(e), inverse=True))
 
 
 def rodrigues(axis, angle, v) -> np.ndarray:

@@ -3,11 +3,10 @@ sweeps, and trajectory traces as plot-ready CSV or JSON-Lines.
 
 Data goes to stdout, all of it through _write; diagnostics go to stderr.
 Exit codes: 0 success or property holds, 1 property violated or I/O failure
-(a closed pipe included), 2 usage error, always reported by argparse.  The
-parser checks each flag; the commands check only how flags relate and what
-the library rejects, and report that through the subcommand's parser.error.
-Angles are radians unless --degrees is given.  Randomized commands take an
-explicit --seed; there is no wall-clock default.
+(a closed pipe included), 2 usage error, always in argparse's shape: the
+parser checks each flag, the commands how flags relate and what the library
+rejects (through parser.error).  Angles are radians unless --degrees is
+given.  Randomized commands take an explicit --seed, with no clock default.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ class UnsupportedPictureError(ValueError):
 
 @dataclass(frozen=True)
 class HaltingMachine:
-    """Rotation parameters plus the four unit vectors the machine acts on.
+    """Rotation parameters plus the four read-only unit vectors it acts on.
 
     The halt qubit and its observable are both the read-only HALT_POLE,
     (0, 0, 1), shared by every machine; the sigma_x flip applied by run()
@@ -57,6 +57,8 @@ class HaltingMachine:
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "system", bloch_vector(self.system))
         object.__setattr__(self, "system_basis", bloch_vector(self.system_basis))
+        for vector in (self.axis, self.system, self.system_basis):
+            vector.setflags(write=False)
 
 
 @dataclass(frozen=True)

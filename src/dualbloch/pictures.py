@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import _bloch3, _rotation, _transport, bloch_vector
+from .bloch import _bloch3, _rotation, _transport
 from .su2 import _entries, unit_axis
 
 
@@ -44,7 +44,7 @@ class EmptyGridError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """Generator axis, angular rate (radians per unit time), and picture."""
+    """Generator axis (read-only), angular rate (radians per unit time), and picture."""
 
     axis: np.ndarray
     rate: float = 1.0
@@ -52,6 +52,7 @@ class EvolutionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_axis(self.axis))
+        self.axis.setflags(write=False)
         if not math.isfinite(self.rate):
             raise ValueError("rate must be finite")
         if not isinstance(self.picture, Picture):
@@ -111,7 +112,6 @@ def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:
     grid = [float(t) for t in t_grid]
     if not grid:
         raise EmptyGridError("time grid must be non-empty")
-    vector = bloch_vector(vector)
     heis = EvolutionSpec(axis, rate, Picture.HEISENBERG)
     schro = EvolutionSpec(axis, rate, Picture.SCHRODINGER)
     for t in grid:

@@ -36,6 +36,15 @@ def _jsonl_rows(stdout: bytes):
     return [json.loads(line) for line in stdout.decode().strip().splitlines()]
 
 
+def _assert_usage_error(proc):
+    """Exit 2 in argparse's shape, reported by the parser of the command run."""
+    command = proc.args[3]  # after "python -m dualbloch"
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"usage: dualbloch {command}".encode()), proc.stderr
+    assert f"dualbloch {command}: error: ".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------- equiv-check
 
 
@@ -53,13 +62,11 @@ def test_equiv_check_single_trial():
 
 
 def test_equiv_check_zero_trials_is_usage_error():
-    proc = run_cli("equiv-check", "--trials", 0, "--seed", 7)
-    assert proc.returncode == 2
-    assert b"error" in proc.stderr
+    _assert_usage_error(run_cli("equiv-check", "--trials", 0, "--seed", 7))
 
 
 def test_equiv_check_requires_a_seed():
-    assert run_cli("equiv-check", "--trials", 10).returncode == 2
+    _assert_usage_error(run_cli("equiv-check", "--trials", 10))
 
 
 # --------------------------------------------------------------- halting-demo
@@ -114,20 +121,19 @@ def test_halting_demo_rejects_reversed_picture():
         "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "heisenberg-reversed",
     )
-    assert proc.returncode == 2
-    assert b"error" in proc.stderr
+    _assert_usage_error(proc)
 
 
 def test_halting_demo_rejects_unknown_picture_and_zero_vectors():
-    assert run_cli(
+    _assert_usage_error(run_cli(
         "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "interaction",
-    ).returncode == 2
+    ))
     proc = run_cli(
         "halting-demo", "--axis", 0, 0, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "schrodinger",
     )
-    assert proc.returncode == 2
+    _assert_usage_error(proc)
     assert b"axis" in proc.stderr
 
 
@@ -181,6 +187,29 @@ def test_sweep_csv_and_jsonl_carry_identical_values():
         assert a["fixed_point"] == b["fixed_point"]
 
 
+def test_sweep_degrees_flag_reads_ranges_in_degrees():
+    # math.radians(180) == pi and math.radians(360) == 2 * pi exactly, so the
+    # degree grid is the default radian grid bit for bit.
+    args = ("self-ref-sweep", "--theta-steps", 5, "--delta-steps", 7)
+    radians = run_cli(*args)
+    degrees = run_cli(*args, "--degrees", "--theta-range", 0, 180, "--delta-range", 0, 360)
+    assert radians.returncode == degrees.returncode == 0
+    assert degrees.stdout == radians.stdout
+
+
+def test_sweep_tol_sets_the_fixed_point_cut():
+    # Gaps on this grid run from 0 to ~2e-3, many of them between 1e-9 and tol.
+    tol = 1e-3
+    args = ("self-ref-sweep", "--theta-steps", 5, "--delta-steps", 5,
+            "--theta-range", 0, 1e-3, "--delta-range", 0, 1.5)  # fmt: skip
+    rows = _csv_rows(run_cli(*args, "--tol", tol).stdout)
+    default_rows = _csv_rows(run_cli(*args).stdout)
+    assert len(rows) == len(default_rows) == 25
+    assert [r["fixed_point"] for r in rows] == [r["discrepancy_angle"] < tol for r in rows]
+    assert any(r["fixed_point"] != d["fixed_point"] for r, d in zip(rows, default_rows))
+    assert not all(r["fixed_point"] for r in rows)
+
+
 def test_sweep_output_file_matches_stdout(tmp_path):
     args = ("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 3)
     to_stdout = run_cli(*args)
@@ -217,9 +246,7 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
     ],
 )
 def test_sweep_usage_errors(extra):
-    proc = run_cli("self-ref-sweep", *extra)
-    assert proc.returncode == 2
-    assert b"Traceback" not in proc.stderr
+    _assert_usage_error(run_cli("self-ref-sweep", *extra))
 
 
 _TRAJECTORY = ("trajectory", "--picture", "schrodinger", "--input", "0", "0", "1",
@@ -255,6 +282,8 @@ def test_negative_values_in_exponent_form_reach_the_type_check(argv, code, messa
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert b"expected" not in proc.stderr
+    if code == 2:
+        _assert_usage_error(proc)
 
 
 @pytest.mark.parametrize(
@@ -270,9 +299,7 @@ def test_negative_values_in_exponent_form_reach_the_type_check(argv, code, messa
     ],
 )
 def test_nonfinite_or_out_of_range_input_is_a_usage_error(argv):
-    proc = run_cli(*argv)
-    assert proc.returncode == 2
-    assert b"Traceback" not in proc.stderr
+    _assert_usage_error(run_cli(*argv))
 
 
 @pytest.mark.parametrize(
@@ -335,12 +362,8 @@ def test_trajectory_jsonl_matches_csv():
 
 def test_trajectory_usage_errors():
     common = ("--picture", "schrodinger", "--axis", 0, 1, 0, "--input", 0, 0, 1)
-    assert run_cli(
-        "trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5
-    ).returncode == 2
-    assert run_cli(
-        "trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1
-    ).returncode == 2
+    _assert_usage_error(run_cli("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
+    _assert_usage_error(run_cli("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
 
 
 # ------------------------------------------------------------------ broken pipe

@@ -61,6 +61,19 @@ def test_machine_is_immutable():
         m.angle = 2.0
 
 
+def test_stored_vectors_and_run_pass_throughs_are_read_only():
+    m = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS, system_basis=(1, 0, 0))
+    schrodinger = run(m, Picture.SCHRODINGER)
+    heisenberg = run(m, Picture.HEISENBERG)
+    for vector in (
+        m.axis, m.system, m.system_basis,
+        schrodinger.system_basis_out, schrodinger.halt_basis_out,
+        heisenberg.system_out, heisenberg.halt_out,
+    ):  # fmt: skip
+        with pytest.raises(ValueError):
+            vector[:] = (0.0, 1.0, 0.0)
+
+
 def test_machine_validates_inputs():
     with pytest.raises(AxisNotUnitError):
         HaltingMachine(axis=(0, 0, 0), angle=1.0, system=Z_AXIS)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dualbloch import pictures
 from dualbloch.bloch import expectation, random_unit_vector, rotate_observable, rotate_state
 from dualbloch.pictures import (
     BadRangeError,
@@ -126,6 +128,13 @@ def test_evolution_spec_validates_inputs():
         EvolutionSpec(Y_AXIS, 1.0, "schrodinger")
 
 
+def test_evolution_spec_axis_is_read_only():
+    spec = EvolutionSpec(Y_AXIS, 1.0, Picture.SCHRODINGER)
+    with pytest.raises(ValueError):
+        spec.axis[:] = (1.0, 0.0, 0.0)
+    np.testing.assert_array_equal(evolve(spec, Z, 1.0), evolve(SCHRO, Z, 1.0))
+
+
 def test_operator_identity_adjoint_negates_time():
     rng = np.random.default_rng(52)
     for _ in range(200):
@@ -197,6 +206,19 @@ def test_reversed_label_equivalence_random_configurations():
         v = random_unit_vector(rng)
         grid = rng.uniform(-6.0, 6.0, size=rng.integers(1, 12))
         assert reversed_label_equivalence(axis, rate, v, grid)
+
+
+def test_reversed_label_equivalence_detects_a_wrong_picture(monkeypatch):
+    # Evolve the Heisenberg spec as Schrodinger: the relabeled trace then
+    # runs forward in time, so away from t = 0 it must not match.
+    real_evolve = pictures.evolve
+
+    def schrodinger_evolve(spec, vector, t):
+        return real_evolve(dataclasses.replace(spec, picture=Picture.SCHRODINGER), vector, t)
+
+    monkeypatch.setattr(pictures, "evolve", schrodinger_evolve)
+    assert reversed_label_equivalence(Y_AXIS, 1.0, Z, [0.0])
+    assert not reversed_label_equivalence(Y_AXIS, 1.0, Z, [0.0, 0.3])
 
 
 def test_reversed_label_equivalence_rejects_empty_grid():
