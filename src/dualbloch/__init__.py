@@ -2,93 +2,9 @@
 pictures: SU(2) rotations and their SO(3) adjoint action, dual-picture
 evolution and trajectories, and a halting machine whose self-referential
 input the two pictures disagree on.
+
+Import each name from its module: dualbloch.su2, .bloch, .pictures,
+.halting or .cli.  Importing the package itself loads none of them.
 """
 
-from . import bloch, halting, pictures, su2
-from .bloch import (
-    NotAStateError,
-    ZeroShotsError,
-    adjoint_rotation,
-    bloch_vector,
-    density_to_state,
-    expectation,
-    haar_random_unitary,
-    measure_sample,
-    rodrigues,
-    rotate_observable,
-    rotate_state,
-    state_to_density,
-)
-from .halting import (
-    HaltingMachine,
-    RunReport,
-    SelfRefReport,
-    UnsupportedPictureError,
-    discrepancy_closed_form,
-    is_fixed_point,
-    self_reference,
-)
-from .pictures import (
-    BadRangeError,
-    EmptyGridError,
-    EvolutionSpec,
-    Picture,
-    TooFewStepsError,
-    TrajectorySample,
-    evolve,
-    reversed_label_equivalence,
-    trajectory,
-)
-from .su2 import (
-    AxisNotUnitError,
-    adjoint,
-    compose,
-    exp_generator,
-    make_unitary,
-    pauli,
-    unit_axis,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "su2",
-    "bloch",
-    "pictures",
-    "halting",
-    "AxisNotUnitError",
-    "BadRangeError",
-    "EmptyGridError",
-    "EvolutionSpec",
-    "HaltingMachine",
-    "NotAStateError",
-    "Picture",
-    "RunReport",
-    "SelfRefReport",
-    "TooFewStepsError",
-    "TrajectorySample",
-    "UnsupportedPictureError",
-    "ZeroShotsError",
-    "adjoint",
-    "adjoint_rotation",
-    "bloch_vector",
-    "compose",
-    "density_to_state",
-    "discrepancy_closed_form",
-    "evolve",
-    "exp_generator",
-    "expectation",
-    "haar_random_unitary",
-    "is_fixed_point",
-    "make_unitary",
-    "measure_sample",
-    "pauli",
-    "reversed_label_equivalence",
-    "rodrigues",
-    "rotate_observable",
-    "rotate_state",
-    "self_reference",
-    "state_to_density",
-    "trajectory",
-    "unit_axis",
-]

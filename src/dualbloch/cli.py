@@ -29,7 +29,7 @@ from .bloch import (
     rotate_observable,
     rotate_state,
 )
-from .halting import HaltingMachine, run, self_reference
+from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
@@ -150,9 +150,13 @@ def cmd_self_ref_sweep(args) -> int:
     if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
         args.error("ranges must be ordered min < max and of finite width")
 
-    deltas = np.linspace(delta_lo, delta_hi, args.delta_steps).tolist()
+    try:
+        deltas = np.linspace(delta_lo, delta_hi, args.delta_steps).tolist()
+        thetas = np.linspace(theta_lo, theta_hi, args.theta_steps).tolist()
+    except MemoryError as exc:
+        args.error(f"grid too large to allocate: {exc}")
     rows = []
-    for theta in np.linspace(theta_lo, theta_hi, args.theta_steps).tolist():  # row-major
+    for theta in thetas:  # row-major
         basis = (math.sin(theta), 0.0, math.cos(theta))
         for delta in deltas:
             gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
@@ -166,8 +170,10 @@ def cmd_trajectory(args) -> int:
     spec = EvolutionSpec(axis=args.axis, rate=rate, picture=Picture(args.picture))
     try:
         samples = trajectory(spec, args.input, args.t_start, args.t_end, args.steps)
-    except ValueError as exc:  # t_start >= t_end, or rate * t overflowing to inf
+    except ValueError as exc:  # a bad time range, or rate * t overflowing to inf
         args.error(str(exc))
+    except MemoryError as exc:
+        args.error(f"grid too large to allocate: {exc}")
     rows = ((s.time_label, *s.vector.tolist()) for s in samples)
     return _write("-", _lines(args.format, ("time_label", "vx", "vy", "vz"), rows))
 
@@ -219,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotation angle range (default 0 2*pi)",
     )
     p.add_argument(
-        "--tol", type=positive_float, default=1e-9, help="fixed-point tolerance, radians"
+        "--tol",
+        type=positive_float,
+        default=FIXED_POINT_TOL,
+        help="fixed-point tolerance, radians",
     )
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")

@@ -155,11 +155,11 @@ def discrepancy_closed_form(theta: float, delta: float) -> float:
     """Disagreement angle for a basis at polar angle theta from the axis.
 
     Both outputs lie on the cone of half-angle theta about the axis,
-    separated by azimuth 2*delta, so the geodesic gap satisfies
-    cos(gap) = cos(theta)^2 + sin(theta)^2 cos(2*delta).  Closed form only;
-    no conjugation machinery is involved.
+    separated by azimuth 2*delta, so half the gap has sine (half chord)
+    sin(theta) |sin(delta)| and cosine hypot(cos(theta), sin(theta) cos(delta));
+    atan2 keeps full precision near gap 0 and pi.  Closed form only; no
+    conjugation machinery is involved.
     """
-    c = math.cos(theta)
     s = math.sin(theta)
-    val = c * c + s * s * math.cos(2.0 * delta)
-    return math.acos(min(1.0, max(-1.0, val)))
+    half_chord = abs(s * math.sin(delta))
+    return 2.0 * math.atan2(half_chord, math.hypot(math.cos(theta), s * math.cos(delta)))

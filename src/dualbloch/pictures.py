@@ -31,7 +31,7 @@ class Picture(Enum):
 
 
 class BadRangeError(ValueError):
-    """Trajectory time range must satisfy t_start < t_end."""
+    """Trajectory time range must satisfy t_start < t_end, with a finite width."""
 
 
 class TooFewStepsError(ValueError):
@@ -72,7 +72,7 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> np.ndarray:
     The reversed Heisenberg reading returns the same vector as Heisenberg at
     the same physical t; the two differ only in trajectory labeling.  The
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
-    of exp_generator(axis, rate * t), bit for bit.
+    of make_unitary(axis, rate * t), bit for bit.
     """
     r = _rotation(*_entries(spec.axis, spec.rate * float(t)))
     inverse = spec.picture is not Picture.SCHRODINGER
@@ -90,8 +90,8 @@ def trajectory(
     """
     if steps < 2:
         raise TooFewStepsError(f"steps must be >= 2, got {steps}")
-    if not (float(t_start) < float(t_end)):
-        raise BadRangeError(f"need t_start < t_end, got [{t_start}, {t_end}]")
+    if not 0.0 < float(t_end) - float(t_start) < math.inf:
+        raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     samples = []
     for t in np.linspace(float(t_start), float(t_end), int(steps)).tolist():

@@ -96,11 +96,6 @@ def make_unitary(axis, angle: float) -> np.ndarray:
     return np.array([[a, b], [c, d]])
 
 
-# Evolution operator exp(-i (axis . sigma) t / 2): the same function under a
-# name that reads as a time exponential.
-exp_generator = make_unitary
-
-
 def adjoint(u) -> np.ndarray:
     """Conjugate transpose. adjoint(adjoint(u)) reproduces u bit for bit."""
     u = np.asarray(u, dtype=complex)

@@ -14,8 +14,9 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def cli_env():
-    """The environment for a CLI subprocess: this checkout's src/ first on the path."""
-    env = dict(os.environ)
+    """The environment for a CLI subprocess: this checkout's src/ first on the
+    path, and any warning raised as an error."""
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return env
 

@@ -45,6 +45,17 @@ def _assert_usage_error(proc):
     assert b"Traceback" not in proc.stderr
 
 
+# -------------------------------------------------------------------- package
+
+
+def test_bare_package_import_loads_no_submodule_and_no_numpy():
+    loaded = "[m for m in sys.modules if m.startswith(('numpy', 'dualbloch.'))]"
+    code = f"import sys, dualbloch; print({loaded})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 # ---------------------------------------------------------------- equiv-check
 
 
@@ -364,6 +375,30 @@ def test_trajectory_usage_errors():
     common = ("--picture", "schrodinger", "--axis", 0, 1, 0, "--input", 0, 0, 1)
     _assert_usage_error(run_cli("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
     _assert_usage_error(run_cli("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
+    proc = run_cli("trajectory", *common, "--t-start", -1e308, "--t-end", 1e308, "--steps", 5)
+    _assert_usage_error(proc)
+    assert b"finite width" in proc.stderr
+
+
+# 10^17 float64 points are 711 PiB, past any address space, so the
+# allocation fails at once.
+_HUGE = str(10**17)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("self-ref-sweep", "--theta-steps", _HUGE, "--delta-steps", "3"),
+        ("self-ref-sweep", "--theta-steps", "3", "--delta-steps", _HUGE),
+        ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0",
+         "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE),
+    ],
+    ids=["theta-steps", "delta-steps", "steps"],
+)  # fmt: skip
+def test_grid_too_large_to_allocate_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    _assert_usage_error(proc)
+    assert b"grid too large to allocate" in proc.stderr
 
 
 # ------------------------------------------------------------------ broken pipe

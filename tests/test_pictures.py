@@ -16,7 +16,7 @@ from dualbloch.pictures import (
     reversed_label_equivalence,
     trajectory,
 )
-from dualbloch.su2 import AxisNotUnitError, adjoint, exp_generator
+from dualbloch.su2 import AxisNotUnitError, adjoint, make_unitary
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = (0.0, 0.0, 1.0)
@@ -69,7 +69,7 @@ def test_evolve_is_the_public_transport_bit_for_bit():
         t = float(rng.uniform(-10, 10))
         v = random_unit_vector(rng)
         schro, heis, heis_rev = (EvolutionSpec(axis, rate, picture) for picture in Picture)
-        u = exp_generator(schro.axis, rate * t)
+        u = make_unitary(schro.axis, rate * t)
         np.testing.assert_array_equal(evolve(schro, v, t), rotate_state(u, v))
         np.testing.assert_array_equal(evolve(heis, v, t), rotate_observable(u, v))
         np.testing.assert_array_equal(evolve(heis_rev, v, t), rotate_observable(u, v))
@@ -117,6 +117,9 @@ def test_trajectory_rejects_bad_grids():
         trajectory(SCHRO, Z, 1.0, 1.0, 5)
     with pytest.raises(BadRangeError):
         trajectory(SCHRO, Z, 2.0, 1.0, 5)
+    # Each bound is finite, but t_end - t_start overflows to inf.
+    with pytest.raises(BadRangeError, match="finite width"):
+        trajectory(SCHRO, Z, -1e308, 1e308, 5)
 
 
 def test_evolution_spec_validates_inputs():
@@ -140,7 +143,7 @@ def test_operator_identity_adjoint_negates_time():
     for _ in range(200):
         axis = random_unit_vector(rng)
         t = float(rng.uniform(-9, 9))
-        diff = adjoint(exp_generator(axis, t)) - exp_generator(axis, -t)
+        diff = adjoint(make_unitary(axis, t)) - make_unitary(axis, -t)
         assert float(np.max(np.abs(diff))) < 1e-15
 
 

@@ -13,7 +13,6 @@ from dualbloch.su2 import (
     AxisNotUnitError,
     adjoint,
     compose,
-    exp_generator,
     make_unitary,
     pauli,
     unit_axis,
@@ -167,24 +166,16 @@ def test_adjoint_reverses_composition():
         assert equal_entrywise(adjoint(compose(a, b)), compose(adjoint(b), adjoint(a)), 1e-12)
 
 
-def test_exp_generator_is_bitwise_alias():
-    rng = np.random.default_rng(18)
-    for _ in range(20):
-        axis = _random_axis(rng)
-        t = float(rng.uniform(-9, 9))
-        assert np.array_equal(exp_generator(axis, t), make_unitary(axis, t))
-
-
-def test_exp_generator_y_at_zero_and_pi():
-    np.testing.assert_array_equal(exp_generator(Y_AXIS, 0.0), IDENTITY)
+def test_make_unitary_y_at_zero_and_pi():
+    np.testing.assert_array_equal(make_unitary(Y_AXIS, 0.0), IDENTITY)
     np.testing.assert_allclose(
-        exp_generator(Y_AXIS, math.pi), np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
+        make_unitary(Y_AXIS, math.pi), np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
     )
 
 
-def test_exp_generator_rejects_bad_axis():
+def test_make_unitary_rejects_bad_axis():
     with pytest.raises(AxisNotUnitError):
-        exp_generator((0.0, 0.5, 0.0), 1.0)
+        make_unitary((0.0, 0.5, 0.0), 1.0)
 
 
 @given(axes, angles)
