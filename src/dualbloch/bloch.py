@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .su2 import IDENTITY, NORM_SLACK, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, _unit3, unit_axis
+from ._kernel import NORM_SLACK, _bloch3, _rotation, _transport, _unit3, expectation
+from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_axis
 
 
 class NotAStateError(ValueError):
@@ -33,11 +34,6 @@ def bloch_vector(components) -> np.ndarray:
     unit norm pass (and are renormalized), everything else is rejected.
     """
     return np.array(_bloch3(components))
-
-
-def _bloch3(components) -> tuple[float, float, float]:
-    """The components of bloch_vector(components), as floats."""
-    return _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
 
 
 def normalized(components) -> np.ndarray:
@@ -68,20 +64,6 @@ def density_to_state(m) -> np.ndarray:
     return np.array(_unit3(traces, "pure-state Bloch vector", NotAStateError, NORM_SLACK))
 
 
-def expectation(e, v) -> float:
-    """Expectation value e . v of measuring along e on the state v.
-
-    Round-off overshoots beyond +-1 smaller than 1e-12 are clamped; anything
-    larger is returned as computed.
-    """
-    ex, ey, ez = _bloch3(e)
-    vx, vy, vz = _bloch3(v)
-    d = ex * vx + ey * vy + ez * vz
-    if 1.0 < abs(d) < 1.0 + 1e-12:
-        d = math.copysign(1.0, d)
-    return d
-
-
 def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     """Sample +1/-1 outcomes of measuring e . sigma on the state v.
 
@@ -97,23 +79,6 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     return np.where(rng.random(shots) < p_plus, 1, -1)
 
 
-def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ...]:
-    """The nine entries, row by row, of the SO(3) matrix of [[a, b], [c, d]].
-
-    These are the traces Tr(sigma_i u sigma_j u+) / 2, expanded on the
-    entries of u.
-    """
-    p = a * d.conjugate()
-    q = b * c.conjugate()
-    x = a * c.conjugate() - b * d.conjugate()
-    y = a * b.conjugate() - c * d.conjugate()
-    return (
-        (p + q).real, (p - q).imag, x.real,
-        -(p + q).imag, (p - q).real, -x.imag,
-        y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
-    )  # fmt: skip
-
-
 def _rotation_of(u) -> tuple[float, ...]:
     """_rotation on the entries of u, which must be 2x2 and unitary within
     NORM_SLACK: rows of unit norm, and orthogonal.  Each test fails on NaN."""
@@ -127,23 +92,6 @@ def _rotation_of(u) -> tuple[float, ...]:
     if not (abs(n0 - 1.0) < NORM_SLACK and abs(n1 - 1.0) < NORM_SLACK and overlap < NORM_SLACK):
         raise ValueError(f"matrix is not unitary: row norms^2 {n0!r}, {n1!r}, overlap {overlap!r}")
     return _rotation(a, b, c, d)
-
-
-def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: bool):
-    """R v, or R^T v when inverse, renormalized to unit length.
-
-    r holds the nine entries of R row by row and v three floats.  For u in
-    SU(2) (|b| = |c|), R^T is the _rotation of u+ bit for bit.
-    """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    if inverse:
-        r01, r02, r10, r12, r20, r21 = r10, r20, r01, r21, r02, r12
-    x, y, z = v
-    wx = r00 * x + r01 * y + r02 * z
-    wy = r10 * x + r11 * y + r12 * z
-    wz = r20 * x + r21 * y + r22 * z
-    norm = math.hypot(wx, wy, wz)
-    return wx / norm, wy / norm, wz / norm
 
 
 def adjoint_rotation(u) -> np.ndarray:

@@ -7,6 +7,7 @@ Exit codes: 0 success or property holds, 1 property violated or I/O failure
 parser checks each flag, the commands how flags relate and what the library
 rejects (through parser.error).  Angles are radians unless --degrees is
 given.  Randomized commands take an explicit --seed, with no clock default.
+Only equiv-check, whose trials come from numpy's PCG64 stream, loads numpy.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .bloch import (
-    expectation,
-    haar_random_unitary,
-    normalized,
-    random_unit_vector,
-    rotate_observable,
-    rotate_state,
-)
+from ._kernel import _linspace, _unit3, expectation
 from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
@@ -74,7 +66,7 @@ class UnitVector(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         try:
-            setattr(namespace, self.dest, normalized(values))
+            setattr(namespace, self.dest, _unit3(values, "vector", ValueError, None))
         except ValueError as exc:
             parser.error(f"{option_string}: {exc}")
 
@@ -116,6 +108,9 @@ def _write(path: str, lines) -> int:
 
 
 def cmd_equiv_check(args) -> int:
+    import numpy as np
+    from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
+
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
     for _ in range(args.trials):
@@ -137,7 +132,7 @@ def cmd_halting_demo(args) -> int:
     machine = HaltingMachine(axis=args.axis, angle=delta, system=args.system)
     report = run(machine, Picture(args.picture))
     doc = dict(vars(report), picture=report.picture.value)  # keys in RunReport field order
-    return _write("-", [json.dumps(doc, default=np.ndarray.tolist) + "\n"])
+    return _write("-", [json.dumps(doc) + "\n"])
 
 
 def cmd_self_ref_sweep(args) -> int:
@@ -151,18 +146,20 @@ def cmd_self_ref_sweep(args) -> int:
         args.error("ranges must be ordered min < max and of finite width")
 
     try:
-        deltas = np.linspace(delta_lo, delta_hi, args.delta_steps).tolist()
-        thetas = np.linspace(theta_lo, theta_hi, args.theta_steps).tolist()
+        deltas = _linspace(delta_lo, delta_hi, args.delta_steps)
+        thetas = _linspace(theta_lo, theta_hi, args.theta_steps)
     except MemoryError as exc:
         args.error(f"grid too large to allocate: {exc}")
-    rows = []
-    for theta in thetas:  # row-major
-        basis = (math.sin(theta), 0.0, math.cos(theta))
-        for delta in deltas:
-            gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
-            rows.append((theta, delta, gap, gap < args.tol))
+
+    def rows():  # row-major, computed as they are written
+        for theta in thetas:
+            basis = (math.sin(theta), 0.0, math.cos(theta))
+            for delta in deltas:
+                gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
+                yield theta, delta, gap, gap < args.tol
+
     fields = ("theta", "delta", "discrepancy_angle", "fixed_point")
-    return _write(args.output, _lines(args.format, fields, rows))
+    return _write(args.output, _lines(args.format, fields, rows()))
 
 
 def cmd_trajectory(args) -> int:
@@ -174,7 +171,7 @@ def cmd_trajectory(args) -> int:
         args.error(str(exc))
     except MemoryError as exc:
         args.error(f"grid too large to allocate: {exc}")
-    rows = ((s.time_label, *s.vector.tolist()) for s in samples)
+    rows = ((s.time_label, *s.vector) for s in samples)
     return _write("-", _lines(args.format, ("time_label", "vx", "vy", "vz"), rows))
 
 

@@ -8,7 +8,7 @@ Feeding the observer's own basis vector in as the system input exposes the
 disagreement between the pictures: the Schrodinger reading returns the
 basis vector rotated by +angle, the Heisenberg reading by -angle.  The two
 outputs coincide exactly when the basis sits on the rotation axis or the
-angle is a multiple of pi, and nowhere else.
+angle is a multiple of pi, and nowhere else.  Vectors are float triples.
 """
 
 from __future__ import annotations
@@ -17,15 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
-from .bloch import _bloch3, _rotation, _transport, bloch_vector, expectation
-from .bloch import rotate_observable, rotate_state
+from ._kernel import _axis3, _bloch3, _entries, _rotation, _transport, expectation
 from .pictures import Picture
-from .su2 import SIGMA_X, _entries, make_unitary, unit_axis
 
-HALT_POLE = np.array([0.0, 0.0, 1.0])
-HALT_POLE.setflags(write=False)
+HALT_POLE = (0.0, 0.0, 1.0)
 
 FIXED_POINT_TOL = 1e-9  # default angular tolerance for classifying agreement
 
@@ -36,46 +31,44 @@ class UnsupportedPictureError(ValueError):
 
 @dataclass(frozen=True)
 class HaltingMachine:
-    """Rotation parameters plus the four read-only unit vectors it acts on.
+    """Rotation parameters plus the four unit vectors it acts on.
 
-    The halt qubit and its observable are both the read-only HALT_POLE,
-    (0, 0, 1), shared by every machine; the sigma_x flip applied by run()
-    is what drives their expectation to -1.
+    The halt qubit and its observable are both HALT_POLE, (0, 0, 1), shared
+    by every machine; the sigma_x flip applied by run() is what drives their
+    expectation to -1.
     """
 
-    axis: np.ndarray
+    axis: tuple[float, float, float]
     angle: float
-    system: np.ndarray
-    system_basis: np.ndarray = (0.0, 0.0, 1.0)
-    halt: ClassVar[np.ndarray] = HALT_POLE
-    halt_basis: ClassVar[np.ndarray] = HALT_POLE
+    system: tuple[float, float, float]
+    system_basis: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    halt: ClassVar[tuple[float, float, float]] = HALT_POLE
+    halt_basis: ClassVar[tuple[float, float, float]] = HALT_POLE
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", unit_axis(self.axis))
+        object.__setattr__(self, "axis", _axis3(self.axis))
         if not math.isfinite(float(self.angle)):
             raise ValueError("angle must be finite")
         object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "system", bloch_vector(self.system))
-        object.__setattr__(self, "system_basis", bloch_vector(self.system_basis))
-        for vector in (self.axis, self.system, self.system_basis):
-            vector.setflags(write=False)
+        object.__setattr__(self, "system", _bloch3(self.system))
+        object.__setattr__(self, "system_basis", _bloch3(self.system_basis))
 
 
 @dataclass(frozen=True)
 class RunReport:
     picture: Picture
-    system_out: np.ndarray
-    halt_out: np.ndarray
-    system_basis_out: np.ndarray
-    halt_basis_out: np.ndarray
+    system_out: tuple[float, float, float]
+    halt_out: tuple[float, float, float]
+    system_basis_out: tuple[float, float, float]
+    halt_basis_out: tuple[float, float, float]
     system_expectation: float
     halt_expectation: float
 
 
 @dataclass(frozen=True)
 class SelfRefReport:
-    schrodinger_output: np.ndarray
-    heisenberg_output: np.ndarray
+    schrodinger_output: tuple[float, float, float]
+    heisenberg_output: tuple[float, float, float]
     discrepancy_angle: float
     halted_in_both: bool
 
@@ -89,17 +82,18 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     Expectations are picture independent; the halt expectation is -1 after
     every run.
     """
-    u = make_unitary(machine.axis, machine.angle)
+    r = _rotation(*_entries(machine.axis, machine.angle))
+    flip = _rotation(0j, 1 + 0j, 1 + 0j, 0j)  # the entries of SIGMA_X, row by row
     if picture is Picture.SCHRODINGER:
-        system_out = rotate_state(u, machine.system)
-        halt_out = rotate_state(SIGMA_X, machine.halt)
+        system_out = _transport(r, _bloch3(machine.system), inverse=False)
+        halt_out = _transport(flip, machine.halt, inverse=False)
         system_basis_out = machine.system_basis
         halt_basis_out = machine.halt_basis
     elif picture is Picture.HEISENBERG:
         system_out = machine.system
         halt_out = machine.halt
-        system_basis_out = rotate_observable(u, machine.system_basis)
-        halt_basis_out = rotate_observable(SIGMA_X, machine.halt_basis)
+        system_basis_out = _transport(r, _bloch3(machine.system_basis), inverse=True)
+        halt_basis_out = _transport(flip, machine.halt_basis, inverse=True)
     else:
         raise UnsupportedPictureError(
             f"halting machine supports schrodinger and heisenberg only, got {picture!r}"
@@ -133,8 +127,8 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     # pi at full precision; acos alone has a ~1e-8 noise floor there.
     gap = math.atan2(cross, dot)
     return SelfRefReport(
-        schrodinger_output=np.array(schrodinger_output),
-        heisenberg_output=np.array(heisenberg_output),
+        schrodinger_output=schrodinger_output,
+        heisenberg_output=heisenberg_output,
         discrepancy_angle=gap,
         halted_in_both=True,
     )

@@ -9,7 +9,7 @@ heisenberg-reversed  the identical Heisenberg flow, but each sample is
                    Schrodinger form.
 
 Time is a dimensionless parameter; with the default rate of 1 the rotation
-angle equals t.
+angle equals t.  Vectors are float triples.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .bloch import _bloch3, _rotation, _transport
-from .su2 import _entries, unit_axis
+from ._kernel import _axis3, _bloch3, _entries, _linspace, _rotation, _transport
 
 
 class Picture(Enum):
@@ -44,15 +41,14 @@ class EmptyGridError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """Generator axis (read-only), angular rate (radians per unit time), and picture."""
+    """Generator unit axis, angular rate (radians per unit time), and picture."""
 
-    axis: np.ndarray
+    axis: tuple[float, float, float]
     rate: float = 1.0
     picture: Picture = Picture.SCHRODINGER
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", unit_axis(self.axis))
-        self.axis.setflags(write=False)
+        object.__setattr__(self, "axis", _axis3(self.axis))
         if not math.isfinite(self.rate):
             raise ValueError("rate must be finite")
         if not isinstance(self.picture, Picture):
@@ -62,21 +58,21 @@ class EvolutionSpec:
 @dataclass(frozen=True)
 class TrajectorySample:
     time_label: float
-    vector: np.ndarray
+    vector: tuple[float, float, float]
     picture: Picture
 
 
-def evolve(spec: EvolutionSpec, vector, t: float) -> np.ndarray:
+def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     """Evolve a unit vector for time t under the given generator and picture.
 
     The reversed Heisenberg reading returns the same vector as Heisenberg at
     the same physical t; the two differ only in trajectory labeling.  The
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
-    of make_unitary(axis, rate * t), bit for bit.
+    of make_unitary(axis, rate * t), bit for bit, as a float triple.
     """
     r = _rotation(*_entries(spec.axis, spec.rate * float(t)))
     inverse = spec.picture is not Picture.SCHRODINGER
-    return np.array(_transport(r, _bloch3(vector), inverse))
+    return _transport(r, _bloch3(vector), inverse)
 
 
 def trajectory(
@@ -94,7 +90,7 @@ def trajectory(
         raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     samples = []
-    for t in np.linspace(float(t_start), float(t_end), int(steps)).tolist():
+    for t in _linspace(float(t_start), float(t_end), int(steps)):
         # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
         label = 0.0 - t if reversed_labels else t
         samples.append(TrajectorySample(label, evolve(spec, vector, t), spec.picture))
@@ -117,6 +113,6 @@ def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:
     for t in grid:
         at_reversed_label = evolve(heis, vector, t)
         schrodinger_form = evolve(schro, vector, -t)
-        if float(np.max(np.abs(at_reversed_label - schrodinger_form))) > 1e-12:
+        if any(abs(a - b) > 1e-12 for a, b in zip(at_reversed_label, schrodinger_form)):
             return False
     return True

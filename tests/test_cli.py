@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,34 @@ def test_bare_package_import_loads_no_submodule_and_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+
+
+_NUMPY_FREE = """
+import contextlib, io, sys
+from dualbloch.cli import build_parser, main
+
+sweep = ["self-ref-sweep", "--theta-steps", "5", "--delta-steps", "5"]
+build_parser().parse_args(sweep)  # the benchmark's set-up line
+for argv in (
+    sweep,
+    ["trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
+     "--input", "1", "0", "0", "--t-start", "0", "--t-end", "3", "--steps", "5"],
+    ["halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
+     "--picture", "schrodinger"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["equiv-check", "--trials", "10", "--seed", "1"]) == 0
+print("PASS" in out.getvalue(), "numpy" in sys.modules)
+"""
+
+
+def test_only_equiv_check_loads_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE], capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\nTrue True\n"
 
 
 # ---------------------------------------------------------------- equiv-check
@@ -228,6 +257,20 @@ def test_sweep_output_file_matches_stdout(tmp_path):
     to_file = run_cli(*args, "--output", target)
     assert to_file.returncode == 0
     assert target.read_bytes() == to_stdout.stdout
+
+
+def test_sweep_streams_its_rows(tmp_path):
+    # Rows go out as they are computed: memory stays flat in the grid size.
+    argv = ["self-ref-sweep", "--theta-steps", "201", "--delta-steps", "201",
+            "--output", str(tmp_path / "sweep.csv")]  # fmt: skip
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "sweep.csv").read_bytes().count(b"\n") == 1 + 201 * 201
+    assert peak < 1_000_000
 
 
 def test_sweep_unwritable_output_exits_1(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualbloch.bloch import bloch_vector, normalized
 from dualbloch.su2 import (
     IDENTITY,
     SIGMA_X,
@@ -92,6 +93,23 @@ def test_unit_axis_renormalizes_small_drift():
     np.testing.assert_allclose(n, [0.0, 1.0, 0.0], atol=1e-15)
 
 
+# Inputs that are not exactly three real numbers.
+NOT_THREE_REALS = [
+    "abc",
+    "100",  # not unpacked to (1, 0, 0)
+    b"abc",
+    ["1", "0", "0"],
+    [1j, 0, 0],
+    [1, "a", 0],
+    (c for c in (1.0, 0.0, 0.0)),
+    {1.0, 0.0, -1.0},
+    [[1.0], [0.0], [0.0]],
+    np.array([[1.0], [0.0], [0.0]]),
+    np.array(1.0),
+    [np.array([1.0]), 0, 0],
+]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -102,11 +120,24 @@ def test_unit_axis_renormalizes_small_drift():
         (1.7e308, 1.7e308, 0.0),  # finite, but its norm is beyond the largest float
         (1.0, 0.0),
         (1.0, 0.0, 0.0, 0.0),
+        *NOT_THREE_REALS,
     ],
 )
 def test_unit_axis_rejects_garbage(bad):
     with pytest.raises(AxisNotUnitError):
         unit_axis(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_THREE_REALS)
+@pytest.mark.parametrize(
+    "validate, error",
+    [(unit_axis, AxisNotUnitError), (bloch_vector, ValueError), (normalized, ValueError)],
+    ids=["unit_axis", "bloch_vector", "normalized"],
+)
+def test_anything_but_three_real_numbers_is_not_a_3_vector(validate, error, bad):
+    # Rejected before any float() call: float() of a 1-element array warns.
+    with pytest.raises(error, match="must be a 3-vector"):
+        validate(bad)
 
 
 def test_adjoint_involution_is_bitwise():
