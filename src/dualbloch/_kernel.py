@@ -1,5 +1,6 @@
-"""The rotation path on plain floats, without numpy: 3-vector validation,
-SU(2) entries, their SO(3) rotation, transport, expectation and grids.
+"""The rotation path on plain floats, without numpy: the 3-vector validators
+(su2 and bloch export these same objects), SU(2) entries, their SO(3)
+rotation, transport, expectation and grids.  A vector is a float triple.
 """
 
 from __future__ import annotations
@@ -13,6 +14,18 @@ NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
 
 class AxisNotUnitError(ValueError):
     """Rotation axis is not normalizable to a unit vector."""
+
+
+def _finite(value, name: str, error: type = ValueError) -> float:
+    """value as a float, raising error unless it is finite: an int beyond the
+    float range counts as infinite, and a string raises math.isfinite's TypeError."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise error(f"{name} must be finite")
+    return float(value)
 
 
 def _unit3(components, name: str, error: type, slack: float | None) -> tuple[float, float, float]:
@@ -34,7 +47,7 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
     if not (type(x) is float and type(y) is float and type(z) is float):
         if not all(isinstance(c, numbers.Real) for c in components):
             raise error(f"{name} must be a 3-vector of real numbers")
-        x, y, z = float(x), float(y), float(z)
+        x, y, z = (_finite(c, f"{name} components", error) for c in components)
     norm = math.hypot(x, y, z)
     if not math.isfinite(norm) and not all(map(math.isfinite, (x, y, z))):
         raise error(f"{name} components must be finite")
@@ -51,22 +64,33 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
     return x / norm, y / norm, z / norm
 
 
-def _axis3(components) -> tuple[float, float, float]:
-    """The components of su2.unit_axis(components), as floats."""
+def unit_axis(components) -> tuple[float, float, float]:
+    """Validate a rotation axis and return it normalized to machine precision.
+
+    Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
+    zero vector and anything farther from unit norm raise AxisNotUnitError.
+    """
     return _unit3(components, "axis", AxisNotUnitError, NORM_SLACK)
 
 
-def _bloch3(components) -> tuple[float, float, float]:
-    """The components of bloch.bloch_vector(components), as floats."""
+def bloch_vector(components) -> tuple[float, float, float]:
+    """Validate a Bloch vector and return it normalized to machine precision.
+
+    Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
+    unit norm pass (and are renormalized), everything else raises ValueError.
+    """
     return _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
+
+
+def normalized(components) -> tuple[float, float, float]:
+    """Scale an arbitrary nonzero finite 3-vector onto the unit sphere."""
+    return _unit3(components, "vector", ValueError, None)
 
 
 def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
     """Entries (a, b, c, d), row by row, of su2.make_unitary(axis, angle)."""
-    x, y, z = _axis3(axis)
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError("angle must be finite")
+    x, y, z = unit_axis(axis)
+    angle = _finite(angle, "angle")
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)
     return complex(c, -s * z), complex(-s * y, -s * x), complex(s * y, -s * x), complex(c, s * z)
@@ -112,8 +136,8 @@ def expectation(e, v) -> float:
     Round-off overshoots beyond +-1 smaller than 1e-12 are clamped; anything
     larger is returned as computed.
     """
-    ex, ey, ez = _bloch3(e)
-    vx, vy, vz = _bloch3(v)
+    ex, ey, ez = bloch_vector(e)
+    vx, vy, vz = bloch_vector(v)
     d = ex * vx + ey * vy + ez * vz
     if 1.0 < abs(d) < 1.0 + 1e-12:
         d = math.copysign(1.0, d)

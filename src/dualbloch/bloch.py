@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, _bloch3, _rotation, _transport, _unit3, expectation
-from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_axis
+from ._kernel import NORM_SLACK, _rotation, _transport, _unit3, expectation, unit_axis
+from ._kernel import bloch_vector, normalized  # the kernel's own objects, exported here
+from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 class NotAStateError(ValueError):
@@ -27,27 +28,13 @@ class ZeroShotsError(ValueError):
     """Measurement sampling needs at least one shot."""
 
 
-def bloch_vector(components) -> np.ndarray:
-    """Validate a Bloch vector and return it normalized to machine precision.
-
-    Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
-    unit norm pass (and are renormalized), everything else is rejected.
-    """
-    return np.array(_bloch3(components))
-
-
-def normalized(components) -> np.ndarray:
-    """Scale an arbitrary nonzero 3-vector onto the unit sphere."""
-    return np.array(_unit3(components, "vector", ValueError, None))
-
-
 def state_to_density(v) -> np.ndarray:
     """Density matrix (I + v . sigma) / 2 of the pure state with Bloch vector v."""
     v = bloch_vector(v)
     return 0.5 * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
 
 
-def density_to_state(m) -> np.ndarray:
+def density_to_state(m) -> tuple[float, float, float]:
     """Bloch vector of a pure density matrix, v_i = Tr(sigma_i m).
 
     Rejects non-Hermitian or wrong-trace input (tolerance 1e-9) and mixed
@@ -61,7 +48,7 @@ def density_to_state(m) -> np.ndarray:
     if abs(np.trace(m) - 1.0) > 1e-9:
         raise NotAStateError(f"density matrix trace {np.trace(m)!r} must be 1")
     traces = [np.trace(s @ m).real for s in PAULIS]
-    return np.array(_unit3(traces, "pure-state Bloch vector", NotAStateError, NORM_SLACK))
+    return _unit3(traces, "pure-state Bloch vector", NotAStateError, NORM_SLACK)
 
 
 def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
@@ -105,25 +92,25 @@ def adjoint_rotation(u) -> np.ndarray:
     return np.array(_rotation_of(u)).reshape(3, 3)
 
 
-def rotate_state(u, v) -> np.ndarray:
+def rotate_state(u, v) -> tuple[float, float, float]:
     """Schrodinger transport v -> U v U+ in Bloch-vector form: R v, with R
     the adjoint rotation of u (a u that is not unitary raises ValueError).
 
     The result is renormalized to machine precision before return.
     """
-    return np.array(_transport(_rotation_of(u), _bloch3(v), inverse=False))
+    return _transport(_rotation_of(u), bloch_vector(v), inverse=False)
 
 
-def rotate_observable(u, e) -> np.ndarray:
+def rotate_observable(u, e) -> tuple[float, float, float]:
     """Heisenberg transport e -> U+ e U: R^T e, the inverse rotation of rotate_state.
 
     For u in SU(2) this is rotate_state(adjoint(u), e) bit for bit, without
     building adjoint(u).  A u that is not unitary raises ValueError.
     """
-    return np.array(_transport(_rotation_of(u), _bloch3(e), inverse=True))
+    return _transport(_rotation_of(u), bloch_vector(e), inverse=True)
 
 
-def rodrigues(axis, angle, v) -> np.ndarray:
+def rodrigues(axis, angle, v) -> tuple[float, float, float]:
     """Rotate v by angle about axis with the closed-form Rodrigues formula.
 
     v cos(a) + (n x v) sin(a) + n (n . v)(1 - cos(a)).  Shares no code with
@@ -133,7 +120,9 @@ def rodrigues(axis, angle, v) -> np.ndarray:
     v = bloch_vector(v)
     c = math.cos(angle)
     s = math.sin(angle)
-    return v * c + np.cross(n, v) * s + n * float(np.dot(n, v)) * (1.0 - c)
+    dot = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]
+    cross = (n[1] * v[2] - n[2] * v[1], n[2] * v[0] - n[0] * v[2], n[0] * v[1] - n[1] * v[0])
+    return tuple(vi * c + wi * s + ni * dot * (1.0 - c) for vi, wi, ni in zip(v, cross, n))
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -148,10 +137,10 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     return np.array([[complex(a, b), complex(c, d)], [complex(-c, d), complex(a, -b)]])
 
 
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
+def random_unit_vector(rng: np.random.Generator) -> tuple[float, float, float]:
     """Uniform direction on the unit sphere (three normals, normalized)."""
     while True:
         x, y, z = rng.normal(size=3).tolist()
         norm = math.hypot(x, y, z)
         if norm > 1e-12:
-            return np.array((x / norm, y / norm, z / norm))
+            return x / norm, y / norm, z / norm

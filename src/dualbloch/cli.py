@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from ._kernel import _linspace, _unit3, expectation
+from ._kernel import _linspace, expectation, normalized
 from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
@@ -66,7 +66,7 @@ class UnitVector(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         try:
-            setattr(namespace, self.dest, _unit3(values, "vector", ValueError, None))
+            setattr(namespace, self.dest, normalized(values))
         except ValueError as exc:
             parser.error(f"{option_string}: {exc}")
 

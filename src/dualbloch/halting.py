@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ._kernel import _axis3, _bloch3, _entries, _rotation, _transport, expectation
+from ._kernel import _entries, _finite, _rotation, _transport, bloch_vector, expectation, unit_axis
 from .pictures import Picture
 
 HALT_POLE = (0.0, 0.0, 1.0)
@@ -46,12 +46,10 @@ class HaltingMachine:
     halt_basis: ClassVar[tuple[float, float, float]] = HALT_POLE
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", _axis3(self.axis))
-        if not math.isfinite(float(self.angle)):
-            raise ValueError("angle must be finite")
-        object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "system", _bloch3(self.system))
-        object.__setattr__(self, "system_basis", _bloch3(self.system_basis))
+        object.__setattr__(self, "axis", unit_axis(self.axis))
+        object.__setattr__(self, "angle", _finite(self.angle, "angle"))
+        object.__setattr__(self, "system", bloch_vector(self.system))
+        object.__setattr__(self, "system_basis", bloch_vector(self.system_basis))
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,14 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     r = _rotation(*_entries(machine.axis, machine.angle))
     flip = _rotation(0j, 1 + 0j, 1 + 0j, 0j)  # the entries of SIGMA_X, row by row
     if picture is Picture.SCHRODINGER:
-        system_out = _transport(r, _bloch3(machine.system), inverse=False)
+        system_out = _transport(r, bloch_vector(machine.system), inverse=False)
         halt_out = _transport(flip, machine.halt, inverse=False)
         system_basis_out = machine.system_basis
         halt_basis_out = machine.halt_basis
     elif picture is Picture.HEISENBERG:
         system_out = machine.system
         halt_out = machine.halt
-        system_basis_out = _transport(r, _bloch3(machine.system_basis), inverse=True)
+        system_basis_out = _transport(r, bloch_vector(machine.system_basis), inverse=True)
         halt_basis_out = _transport(flip, machine.halt_basis, inverse=True)
     else:
         raise UnsupportedPictureError(
@@ -118,7 +116,7 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     and R^T b, the transports of rotate_state and rotate_observable.
     """
     r = _rotation(*_entries(axis, angle))
-    basis = _bloch3(basis)
+    basis = bloch_vector(basis)
     s0, s1, s2 = schrodinger_output = _transport(r, basis, inverse=False)
     h0, h1, h2 = heisenberg_output = _transport(r, basis, inverse=True)
     dot = s0 * h0 + s1 * h1 + s2 * h2

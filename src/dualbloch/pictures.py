@@ -15,10 +15,12 @@ angle equals t.  Vectors are float triples.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from ._kernel import _axis3, _bloch3, _entries, _linspace, _rotation, _transport
+from ._kernel import _entries, _finite, _linspace, _rotation, _transport, bloch_vector, unit_axis
 
 
 class Picture(Enum):
@@ -48,9 +50,8 @@ class EvolutionSpec:
     picture: Picture = Picture.SCHRODINGER
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", _axis3(self.axis))
-        if not math.isfinite(self.rate):
-            raise ValueError("rate must be finite")
+        object.__setattr__(self, "axis", unit_axis(self.axis))
+        object.__setattr__(self, "rate", _finite(self.rate, "rate"))
         if not isinstance(self.picture, Picture):
             raise ValueError(f"picture must be a Picture, got {self.picture!r}")
 
@@ -70,31 +71,37 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
     of make_unitary(axis, rate * t), bit for bit, as a float triple.
     """
-    r = _rotation(*_entries(spec.axis, spec.rate * float(t)))
+    r = _rotation(*_entries(spec.axis, spec.rate * _finite(t, "t")))
     inverse = spec.picture is not Picture.SCHRODINGER
-    return _transport(r, _bloch3(vector), inverse)
+    return _transport(r, bloch_vector(vector), inverse)
 
 
 def trajectory(
     spec: EvolutionSpec, vector, t_start: float, t_end: float, steps: int
-) -> list[TrajectorySample]:
+) -> Iterator[TrajectorySample]:
     """Sample the evolution on a uniform grid including both endpoints.
 
     Schrodinger and Heisenberg samples are labeled with the physical time t;
     heisenberg-reversed samples carry label -t while keeping the Heisenberg
-    vector at physical time t.
+    vector at physical time t.  Every argument is checked and the grid is
+    allocated before this returns; each sample is computed as it is consumed.
     """
+    steps = operator.index(steps)
     if steps < 2:
         raise TooFewStepsError(f"steps must be >= 2, got {steps}")
-    if not 0.0 < float(t_end) - float(t_start) < math.inf:
+    t_start = _finite(t_start, "t_start", BadRangeError)
+    t_end = _finite(t_end, "t_end", BadRangeError)
+    if not 0.0 < t_end - t_start < math.inf:
         raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
+    _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
+    bloch_vector(vector)  # evolve validates the caller's vector again, per sample
+    grid = _linspace(t_start, t_end, steps)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
-    samples = []
-    for t in _linspace(float(t_start), float(t_end), int(steps)):
-        # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
-        label = 0.0 - t if reversed_labels else t
-        samples.append(TrajectorySample(label, evolve(spec, vector, t), spec.picture))
-    return samples
+    # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
+    return (
+        TrajectorySample(0.0 - t if reversed_labels else t, evolve(spec, vector, t), spec.picture)
+        for t in grid
+    )
 
 
 def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:
@@ -105,7 +112,7 @@ def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:
     Schrodinger evolution of the same input evaluated at time tau with the
     same generator.
     """
-    grid = [float(t) for t in t_grid]
+    grid = [_finite(t, "t") for t in t_grid]
     if not grid:
         raise EmptyGridError("time grid must be non-empty")
     heis = EvolutionSpec(axis, rate, Picture.HEISENBERG)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, AxisNotUnitError, _axis3, _entries
+from ._kernel import NORM_SLACK, AxisNotUnitError, _entries, unit_axis
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,15 +33,6 @@ def pauli(which: str) -> np.ndarray:
         return {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[which].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli axis {which!r}, expected 'x', 'y' or 'z'") from None
-
-
-def unit_axis(components) -> np.ndarray:
-    """Validate a rotation axis and return it normalized to machine precision.
-
-    Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
-    zero vector and anything farther from unit norm are rejected.
-    """
-    return np.array(_axis3(components))
 
 
 def make_unitary(axis, angle: float) -> np.ndarray:

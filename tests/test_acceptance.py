@@ -85,7 +85,7 @@ def test_criterion_03_conjugation_vs_rodrigues_oracle():
         v = random_unit_vector(rng)
         via_conjugation = rotate_state(make_unitary(axis, angle), v)
         via_closed_form = rodrigues(axis, angle, v)
-        worst = max(worst, float(np.max(np.abs(via_conjugation - via_closed_form))))
+        worst = max(worst, float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 2.0
     assert _verdict(3, "conjugation path vs Rodrigues closed form, 10^4 draws", ok,

@@ -81,7 +81,7 @@ def test_density_round_trip():
     for _ in range(1000):
         v = random_unit_vector(rng)
         back = density_to_state(state_to_density(v))
-        assert float(np.max(np.abs(back - v))) < 1e-12
+        assert float(np.max(np.abs(np.asarray(back) - v))) < 1e-12
 
 
 def test_density_to_state_pole():
@@ -110,7 +110,7 @@ def test_expectation_aligned_anti_aligned_orthogonal():
     for _ in range(100):
         v = random_unit_vector(rng)
         assert expectation(v, v) == pytest.approx(1.0, abs=1e-15)
-        assert expectation(-v, v) == pytest.approx(-1.0, abs=1e-15)
+        assert expectation(-np.asarray(v), v) == pytest.approx(-1.0, abs=1e-15)
     assert expectation((0, 0, 1), (1, 0, 0)) == 0.0
 
 
@@ -129,7 +129,7 @@ def test_measure_sample_deterministic_extremes():
     rng = np.random.default_rng(25)
     v = random_unit_vector(rng)
     assert np.all(measure_sample(v, v, rng_seed=123, shots=100) == 1)
-    assert np.all(measure_sample(-v, v, rng_seed=123, shots=100) == -1)
+    assert np.all(measure_sample(-np.asarray(v), v, rng_seed=123, shots=100) == -1)
 
 
 def test_measure_sample_orthogonal_mean_near_zero():
@@ -306,7 +306,7 @@ def test_so3_period_is_2pi_while_su2_sign_flips():
         u1 = make_unitary(axis, delta)
         u2 = make_unitary(axis, delta + 2 * math.pi)
         assert float(np.max(np.abs(u2 + u1))) < 1e-12  # opposite signs in SU(2)
-        assert float(np.max(np.abs(rotate_state(u2, v) - rotate_state(u1, v)))) < 1e-12
+        assert float(np.max(np.abs(np.asarray(rotate_state(u2, v)) - rotate_state(u1, v)))) < 1e-12
 
 
 # ----------------------------------------------------------------- rodrigues
@@ -334,7 +334,7 @@ def test_rodrigues_agrees_with_conjugation():
         v = random_unit_vector(rng)
         via_conjugation = rotate_state(make_unitary(axis, angle), v)
         via_closed_form = rodrigues(axis, angle, v)
-        assert float(np.max(np.abs(via_conjugation - via_closed_form))) < 1e-12
+        assert float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))) < 1e-12
 
 
 def test_rodrigues_rejects_bad_axis():

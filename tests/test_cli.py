@@ -273,6 +273,23 @@ def test_sweep_streams_its_rows(tmp_path):
     assert peak < 1_000_000
 
 
+def test_trajectory_streams_its_rows(tmp_path):
+    # Only the time grid is held: each sample is written as it is computed.
+    argv = ["trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
+            "--input", "0", "0", "1", "--t-start", "0", "--t-end", "10", "--steps", "50000",
+            "--format", "jsonl"]  # fmt: skip
+    path = tmp_path / "trajectory.jsonl"
+    with open(path, "w") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == 50_000
+    assert peak < 4_000_000
+
+
 def test_sweep_unwritable_output_exits_1(tmp_path):
     proc = run_cli(
         "self-ref-sweep", "--theta-steps", 2, "--delta-steps", 2,

@@ -174,7 +174,7 @@ def test_self_reference_on_axis_basis_agrees():
         axis = random_unit_vector(rng)
         delta = float(rng.uniform(0, 2 * math.pi))
         assert self_reference(axis, delta, axis).discrepancy_angle < 1e-12
-        assert self_reference(axis, delta, -axis).discrepancy_angle < 1e-12
+        assert self_reference(axis, delta, -np.asarray(axis)).discrepancy_angle < 1e-12
 
 
 def test_self_reference_full_turn_of_pi_agrees():

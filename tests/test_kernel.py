@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dualbloch import _kernel, bloch, halting, pictures, su2
 from dualbloch._kernel import _linspace
 
 
@@ -44,3 +47,101 @@ def test_linspace_named_cases(start, stop, num):
     assert np.array_equal(_bits(got), _bits(np.linspace(start, stop, num)))
     assert got[-1] == stop and len(got) == num
 
+
+_HUGE = 10**400  # an int beyond the largest float
+_AXIS = (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: su2.unit_axis([_HUGE, 0, 0]), su2.AxisNotUnitError),
+        (lambda: su2.make_unitary(_AXIS, _HUGE), ValueError),
+        (lambda: pictures.EvolutionSpec(_AXIS, rate=_HUGE), ValueError),
+        (lambda: halting.HaltingMachine(_AXIS, _HUGE, (0.0, 0.0, 1.0)), ValueError),
+        (lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), _HUGE), ValueError),
+        (
+            lambda: pictures.trajectory(pictures.EvolutionSpec(_AXIS), (0, 0, 1), 0, _HUGE, 3),
+            pictures.BadRangeError,
+        ),
+        (lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), [_HUGE]), ValueError),
+    ],
+    ids=[
+        "unit_axis",
+        "make_unitary",
+        "EvolutionSpec",
+        "HaltingMachine",
+        "evolve",
+        "trajectory",
+        "reversed_label_equivalence",
+    ],
+)
+def test_huge_integers_raise_the_validators_error(call, error):
+    with pytest.raises(error, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: su2.make_unitary(_AXIS, "1.5"),
+        lambda: pictures.EvolutionSpec(_AXIS, rate="1.5"),
+        lambda: halting.HaltingMachine(_AXIS, "1.5", (0.0, 0.0, 1.0)),
+        lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), "1.5"),
+    ],
+    ids=["make_unitary", "EvolutionSpec", "HaltingMachine", "evolve"],
+)
+def test_a_number_written_as_a_string_is_not_a_real_number(call):
+    # As for vector components: a scalar must be a real number, not text.
+    with pytest.raises(TypeError):
+        call()
+
+
+_SPEC = pictures.EvolutionSpec(np.array([0, 1, 0]), 2, pictures.Picture.HEISENBERG)
+_MACHINE = halting.HaltingMachine(np.array([0, 1, 0]), 1, [0, 0, 1])
+_VECTORS = {
+    "su2.unit_axis": lambda: su2.unit_axis(np.array([0, 0, 1])),
+    "bloch.bloch_vector": lambda: bloch.bloch_vector([0, 1, 0]),
+    "bloch.normalized": lambda: bloch.normalized(np.array([3.0, 0.0, 4.0])),
+    "bloch.density_to_state": lambda: bloch.density_to_state(np.diag([1.0, 0.0])),
+    "bloch.rotate_state": lambda: bloch.rotate_state(np.eye(2), [1, 0, 0]),
+    "bloch.rotate_observable": lambda: bloch.rotate_observable(su2.SIGMA_X, np.array([0, 0, 1])),
+    "bloch.random_unit_vector": lambda: bloch.random_unit_vector(np.random.default_rng(8)),
+    "bloch.rodrigues": lambda: bloch.rodrigues(np.array([0, 0, 1]), 1, [1, 0, 0]),
+    "pictures.EvolutionSpec.axis": lambda: _SPEC.axis,
+    "pictures.evolve": lambda: pictures.evolve(_SPEC, np.array([1, 0, 0]), 1),
+    "pictures.TrajectorySample.vector": lambda: next(
+        pictures.trajectory(_SPEC, [1, 0, 0], 0, 1, 2)
+    ).vector,
+    "halting.HALT_POLE": lambda: halting.HALT_POLE,
+    **{
+        f"halting.HaltingMachine.{f}": (lambda f=f: getattr(_MACHINE, f))
+        for f in ("axis", "system", "system_basis", "halt", "halt_basis")
+    },
+    **{
+        f"halting.RunReport.{f.name}({picture.value})": (
+            lambda f=f, picture=picture: getattr(halting.run(_MACHINE, picture), f.name)
+        )
+        for picture in (pictures.Picture.SCHRODINGER, pictures.Picture.HEISENBERG)
+        for f in dataclasses.fields(halting.RunReport)
+        if f.name.endswith("_out")
+    },
+    **{
+        f"halting.SelfRefReport.{f}": (
+            lambda f=f: getattr(halting.self_reference(np.array([0, 1, 0]), 1, [0, 0, 1]), f)
+        )
+        for f in ("schrodinger_output", "heisenberg_output")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTORS))
+def test_every_public_vector_is_a_float_triple(name):
+    # su2 and bloch export the kernel's validators, the objects that every
+    # module calls, so a tracer that patches by identity counts every call.
+    assert su2.unit_axis is _kernel.unit_axis
+    assert bloch.bloch_vector is _kernel.bloch_vector
+    assert bloch.normalized is _kernel.normalized
+    vector = _VECTORS[name]()
+    assert type(vector) is tuple and len(vector) == 3, vector
+    assert all(type(c) is float for c in vector), vector

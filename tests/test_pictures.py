@@ -83,7 +83,7 @@ def test_evolve_respects_rate():
 
 
 def test_trajectory_schrodinger_quarter_turn_grid():
-    samples = trajectory(SCHRO, Z, 0.0, math.pi / 2, 3)
+    samples = list(trajectory(SCHRO, Z, 0.0, math.pi / 2, 3))
     assert [s.time_label for s in samples] == [0.0, math.pi / 4, math.pi / 2]
     expected = [
         (0.0, 0.0, 1.0),
@@ -96,8 +96,8 @@ def test_trajectory_schrodinger_quarter_turn_grid():
 
 
 def test_trajectory_reversed_labels_negate_time():
-    rev = trajectory(HEIS_REV, Z, 0.0, math.pi / 2, 3)
-    heis = trajectory(HEIS, Z, 0.0, math.pi / 2, 3)
+    rev = list(trajectory(HEIS_REV, Z, 0.0, math.pi / 2, 3))
+    heis = list(trajectory(HEIS, Z, 0.0, math.pi / 2, 3))
     assert [s.time_label for s in rev] == [0.0, -math.pi / 4, -math.pi / 2]
     for r, h in zip(rev, heis):
         np.testing.assert_array_equal(r.vector, h.vector)
@@ -120,6 +120,23 @@ def test_trajectory_rejects_bad_grids():
     # Each bound is finite, but t_end - t_start overflows to inf.
     with pytest.raises(BadRangeError, match="finite width"):
         trajectory(SCHRO, Z, -1e308, 1e308, 5)
+    # A step count must be an integer, not truncated to one.
+    with pytest.raises(TypeError):
+        trajectory(SCHRO, Z, 0.0, 1.0, 2.9)
+
+
+def test_trajectory_checks_everything_before_it_returns():
+    # The samples are computed lazily, so every error must come from the
+    # call itself: rate * t overflowing at either end, or a bad input vector.
+    fast = EvolutionSpec(Y_AXIS, 1e300, Picture.SCHRODINGER)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        trajectory(fast, Z, 0.0, 1e300, 5)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        trajectory(fast, Z, -1e300, 0.0, 5)
+    with pytest.raises(ValueError, match="Bloch vector"):
+        trajectory(SCHRO, (0.0, 0.0, 2.0), 0.0, 1.0, 5)
+    with pytest.raises(MemoryError):
+        trajectory(SCHRO, Z, 0.0, 1.0, 10**17)
 
 
 def test_evolution_spec_validates_inputs():
@@ -181,7 +198,7 @@ def test_trajectory_continuity_for_equatorial_input():
         rate = float(rng.uniform(0.3, 2.0))
         spec = EvolutionSpec(axis, rate, picture)
         v = _orthogonal_to(axis, rng)
-        samples = trajectory(spec, v, 0.0, 1.0, 21)
+        samples = list(trajectory(spec, v, 0.0, 1.0, 21))
         dt = 1.0 / 20.0
         for a, b in zip(samples, samples[1:]):
             dot = float(np.dot(a.vector, b.vector))
