@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
+REAL = ".17g"  # 17 significant digits round-trip any double losslessly
 # Every negative value float() reads: argparse's own pattern knows only plain
 # decimals and takes "-1e-3", "-inf" or "-nan" for an option string.
 NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -71,21 +73,16 @@ class UnitVector(argparse.Action):
             parser.error(f"{option_string}: {exc}")
 
 
-def _cell(x) -> str:
-    # 17 significant digits round-trip any double losslessly.
-    return ("true" if x else "false") if isinstance(x, bool) else format(x, ".17g")
-
-
-def _lines(fmt: str, fields: tuple[str, ...], rows):
-    """Rows as CSV lines after a header, or as JSON Lines."""
+def _lines(fmt: str, fields: dict[str, str], rows):
+    """Rows as CSV lines after a header, or as JSON Lines, through one template
+    built from fields, which maps each column name to its cells' format spec."""
+    cells = [f"{{:{spec}}}" for spec in fields.values()]
     if fmt == "csv":
         yield ",".join(fields) + "\n"
-        for row in rows:
-            yield ",".join(map(_cell, row)) + "\n"
+        template = ",".join(cells) + "\n"
     else:
-        keys = [f'"{k}": ' for k in fields]
-        for row in rows:
-            yield "{" + ", ".join(k + _cell(x) for k, x in zip(keys, row)) + "}\n"
+        template = "{{" + ", ".join(f'"{k}": {c}' for k, c in zip(fields, cells)) + "}}\n"
+    yield from itertools.starmap(template.format, rows)
 
 
 def _write(path: str, lines) -> int:
@@ -156,9 +153,9 @@ def cmd_self_ref_sweep(args) -> int:
             basis = (math.sin(theta), 0.0, math.cos(theta))
             for delta in deltas:
                 gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
-                yield theta, delta, gap, gap < args.tol
+                yield theta, delta, gap, "true" if gap < args.tol else "false"
 
-    fields = ("theta", "delta", "discrepancy_angle", "fixed_point")
+    fields = {"theta": REAL, "delta": REAL, "discrepancy_angle": REAL, "fixed_point": "s"}
     return _write(args.output, _lines(args.format, fields, rows()))
 
 
@@ -172,7 +169,8 @@ def cmd_trajectory(args) -> int:
     except MemoryError as exc:
         args.error(f"grid too large to allocate: {exc}")
     rows = ((s.time_label, *s.vector) for s in samples)
-    return _write("-", _lines(args.format, ("time_label", "vx", "vy", "vz"), rows))
+    fields = dict.fromkeys(("time_label", "vx", "vy", "vz"), REAL)
+    return _write("-", _lines(args.format, fields, rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,7 +94,7 @@ def trajectory(
     if not 0.0 < t_end - t_start < math.inf:
         raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
-    bloch_vector(vector)  # evolve validates the caller's vector again, per sample
+    bloch_vector(vector)  # checks it now; for a float triple, every evolve below reuses this
     grid = _linspace(t_start, t_end, steps)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.

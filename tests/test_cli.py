@@ -227,6 +227,73 @@ def test_sweep_csv_and_jsonl_carry_identical_values():
         assert a["fixed_point"] == b["fixed_point"]
 
 
+_FLAG_SWEEP = (
+    "self-ref-sweep", "--theta-steps", 2, "--delta-steps", 2,
+    "--theta-range", 0, 0.5, "--delta-range", 0, 1.5707963267948966,
+)  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "fmt, lines",
+    [
+        (
+            "csv",
+            [
+                "theta,delta,discrepancy_angle,fixed_point",
+                "0,0,0,true",
+                "0,1.5707963267948966,0,true",
+                "0.5,0,0,true",
+                "0.5,1.5707963267948966,1,false",
+            ],
+        ),
+        (
+            "jsonl",
+            [
+                '{"theta": 0, "delta": 0, "discrepancy_angle": 0, "fixed_point": true}',
+                '{"theta": 0, "delta": 1.5707963267948966, "discrepancy_angle": 0, "fixed_point": true}',
+                '{"theta": 0.5, "delta": 0, "discrepancy_angle": 0, "fixed_point": true}',
+                '{"theta": 0.5, "delta": 1.5707963267948966, "discrepancy_angle": 1, "fixed_point": false}',
+            ],
+        ),
+    ],
+)
+def test_sweep_writes_its_flag_as_true_or_false(fmt, lines):
+    proc = run_cli(*_FLAG_SWEEP, "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == lines
+
+
+@pytest.mark.parametrize(
+    "fmt, lines",
+    [
+        (
+            "csv",
+            [
+                "a,b,c,d\n",
+                "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001\n",
+                "0.10000000000000001,-1.7976931348623157e+308,-0,-4.9406564584124654e-324\n",
+            ],
+        ),
+        (
+            "jsonl",
+            [
+                '{"a": -0, "b": 4.9406564584124654e-324, "c": 1.7976931348623157e+308, '
+                '"d": 0.10000000000000001}\n',
+                '{"a": 0.10000000000000001, "b": -1.7976931348623157e+308, "c": -0, '
+                '"d": -4.9406564584124654e-324}\n',
+            ],
+        ),
+    ],
+)
+def test_row_writer_keeps_every_float_bit_and_the_sign_of_zero(fmt, lines):
+    # 17 significant digits round-trip any double, subnormal and largest included.
+    rows = [
+        (-0.0, 5e-324, 1.7976931348623157e308, 0.1),
+        (0.1, -1.7976931348623157e308, -0.0, -5e-324),
+    ]
+    assert list(cli._lines(fmt, dict.fromkeys("abcd", ".17g"), rows)) == lines
+
+
 def test_sweep_degrees_flag_reads_ranges_in_degrees():
     # math.radians(180) == pi and math.radians(360) == 2 * pi exactly, so the
     # degree grid is the default radian grid bit for bit.

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dualbloch._kernel import bloch_vector, normalized, unit_axis
 from helpers import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -21,6 +22,10 @@ _TRAJECTORY = (
     "--rate", "0.7", "--t-start", "-1.5", "--t-end", "4", "--steps", "13",
 )  # fmt: skip
 _SWEEP = ("self-ref-sweep", "--theta-steps", "5", "--delta-steps", "9")
+# Generic vectors, unlike the axis-aligned ones above: renormalizing them
+# changes bits, so this case sees how many times each one is renormalized.
+_GENERIC_AXIS = ("-0.916", "0.964", "0.93")
+_GENERIC_INPUT = ("0.101", "0.536", "-0.025")
 
 CASES = {
     "equiv-check.txt": ("equiv-check", "--trials", "200", "--seed", "5"),
@@ -38,6 +43,10 @@ CASES = {
     "trajectory-heisenberg-reversed.jsonl": (
         *_TRAJECTORY, "--picture", "heisenberg-reversed", "--format", "jsonl",
     ),
+    "trajectory-generic.csv": (
+        "trajectory", "--axis", *_GENERIC_AXIS, "--input", *_GENERIC_INPUT,
+        "--picture", "schrodinger", "--t-start", "0", "--t-end", "3", "--steps", "7",
+    ),
 }  # fmt: skip
 
 
@@ -46,6 +55,21 @@ def test_output_matches_golden_file(name):
     proc = run_cli(*CASES[name])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "components, validate",
+    [(_GENERIC_AXIS, unit_axis), (_GENERIC_INPUT, bloch_vector)],
+    ids=["axis", "input"],
+)
+def test_generic_case_changes_bits_at_each_renormalization(components, validate):
+    # The CLI normalizes each flag; EvolutionSpec and the evolution validate
+    # the axis twice more and the input once more.  If a renormalization left
+    # the bits alone, skipping it would not show in trajectory-generic.csv.
+    once = normalized(tuple(map(float, components)))
+    twice = validate(once)
+    assert twice != once
+    assert validate(twice) != twice
 
 
 def regenerate(cases, directory: Path) -> int:
