@@ -36,7 +36,7 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
     only for non-finite input or a true norm beyond the largest float, and
     only then are the components inspected.
     """
-    shape = None if type(components) is tuple else getattr(components, "shape", None)
+    shape = getattr(components, "shape", None)
     if shape is not None:
         if shape != (3,):
             raise error(f"{name} must be a 3-vector, got shape {shape}")
@@ -64,27 +64,13 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
     return x / norm, y / norm, z / norm
 
 
-# Each validator's last success on an exact tuple of exact floats, which is
-# immutable: the same object is the same value.  One (input, result) pair in
-# one slot, so a concurrent reader never sees half of an update.
-_axis_memo = _bloch_memo = (None, None)
-
-
 def unit_axis(components) -> tuple[float, float, float]:
     """Validate a rotation axis and return it normalized to machine precision.
 
     Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
     zero vector and anything farther from unit norm raise AxisNotUnitError.
     """
-    global _axis_memo
-    seen, unit = _axis_memo
-    if components is seen:
-        return unit
-    unit = _unit3(components, "axis", AxisNotUnitError, NORM_SLACK)
-    c = components
-    if type(c) is tuple and type(c[0]) is float and type(c[1]) is float and type(c[2]) is float:
-        _axis_memo = c, unit
-    return unit
+    return _unit3(components, "axis", AxisNotUnitError, NORM_SLACK)
 
 
 def bloch_vector(components) -> tuple[float, float, float]:
@@ -93,15 +79,7 @@ def bloch_vector(components) -> tuple[float, float, float]:
     Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
     unit norm pass (and are renormalized), everything else raises ValueError.
     """
-    global _bloch_memo
-    seen, unit = _bloch_memo
-    if components is seen:
-        return unit
-    unit = _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
-    c = components
-    if type(c) is tuple and type(c[0]) is float and type(c[1]) is float and type(c[2]) is float:
-        _bloch_memo = c, unit
-    return unit
+    return _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
 
 
 def normalized(components) -> tuple[float, float, float]:
@@ -111,7 +89,12 @@ def normalized(components) -> tuple[float, float, float]:
 
 def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
     """Entries (a, b, c, d), row by row, of su2.make_unitary(axis, angle)."""
-    x, y, z = unit_axis(axis)
+    return _unit_entries(unit_axis(axis), angle)
+
+
+def _unit_entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
+    """_entries of an axis that unit_axis returned, which is not checked again."""
+    x, y, z = axis
     angle = _finite(angle, "angle")
     c = math.cos(0.5 * angle)
     s = math.sin(0.5 * angle)

@@ -20,7 +20,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from ._kernel import _entries, _finite, _linspace, _rotation, _transport, bloch_vector, unit_axis
+from ._kernel import (
+    _finite,
+    _linspace,
+    _rotation,
+    _transport,
+    _unit_entries,
+    bloch_vector,
+    unit_axis,
+)
 
 
 class Picture(Enum):
@@ -51,6 +59,9 @@ class EvolutionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_axis(self.axis))
+        # make_unitary(axis) renormalizes axis once more, and evolve must match
+        # it bit for bit: that renormalization is made here, once per spec.
+        object.__setattr__(self, "_unit_axis", unit_axis(self.axis))
         object.__setattr__(self, "rate", _finite(self.rate, "rate"))
         if not isinstance(self.picture, Picture):
             raise ValueError(f"picture must be a Picture, got {self.picture!r}")
@@ -71,7 +82,7 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
     of make_unitary(axis, rate * t), bit for bit, as a float triple.
     """
-    r = _rotation(*_entries(spec.axis, spec.rate * _finite(t, "t")))
+    r = _rotation(*_unit_entries(spec._unit_axis, spec.rate * _finite(t, "t")))
     inverse = spec.picture is not Picture.SCHRODINGER
     return _transport(r, bloch_vector(vector), inverse)
 
@@ -94,7 +105,7 @@ def trajectory(
     if not 0.0 < t_end - t_start < math.inf:
         raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
-    bloch_vector(vector)  # checks it now; for a float triple, every evolve below reuses this
+    bloch_vector(vector)  # evolve validates the caller's vector again, per sample
     grid = _linspace(t_start, t_end, steps)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.

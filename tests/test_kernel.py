@@ -1,7 +1,8 @@
 import dataclasses
 import math
+import subprocess
 import sys
-import threading
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from dualbloch import _kernel, bloch, halting, pictures, su2
 from dualbloch._kernel import _linspace
+from helpers import cli_env
 
 
 def _bits(values):
@@ -151,13 +153,13 @@ def test_every_public_vector_is_a_float_triple(name):
     assert all(type(c) is float for c in vector), vector
 
 
-# ------------------------------------------------- the validators' one-slot memo
+# ------------------------------------------- the validators on repeated input
 
-_MEMOIZED = [(su2.unit_axis, su2.AxisNotUnitError), (bloch.bloch_vector, ValueError)]
-_MEMO_IDS = ["unit_axis", "bloch_vector"]
+_VALIDATORS = [(su2.unit_axis, su2.AxisNotUnitError), (bloch.bloch_vector, ValueError)]
+_VALIDATOR_IDS = ["unit_axis", "bloch_vector"]
 
 
-@pytest.mark.parametrize("validate, error", _MEMOIZED, ids=_MEMO_IDS)
+@pytest.mark.parametrize("validate, error", _VALIDATORS, ids=_VALIDATOR_IDS)
 @pytest.mark.parametrize("make", [list, np.array], ids=["list", "ndarray"])
 def test_a_vector_changed_in_place_is_checked_again(validate, error, make):
     vector = make([1.0, 0.0, 0.0])
@@ -167,7 +169,7 @@ def test_a_vector_changed_in_place_is_checked_again(validate, error, make):
         validate(vector)
 
 
-@pytest.mark.parametrize("validate, error", _MEMOIZED, ids=_MEMO_IDS)
+@pytest.mark.parametrize("validate, error", _VALIDATORS, ids=_VALIDATOR_IDS)
 def test_a_tuple_normalized_accepts_is_still_rejected_by_the_validators(validate, error):
     long = (2.0, 0.0, 0.0)
     assert bloch.normalized(long) == (1.0, 0.0, 0.0)
@@ -175,7 +177,7 @@ def test_a_tuple_normalized_accepts_is_still_rejected_by_the_validators(validate
         validate(long)
 
 
-@pytest.mark.parametrize("validate, error", _MEMOIZED, ids=_MEMO_IDS)
+@pytest.mark.parametrize("validate, error", _VALIDATORS, ids=_VALIDATOR_IDS)
 @pytest.mark.parametrize("bad", [(2.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, 0.0, 0.0)])
 def test_an_invalid_tuple_raises_on_every_call(validate, error, bad):
     for _ in range(3):
@@ -183,7 +185,7 @@ def test_an_invalid_tuple_raises_on_every_call(validate, error, bad):
             validate(bad)
 
 
-@pytest.mark.parametrize("validate", [su2.unit_axis, bloch.bloch_vector], ids=_MEMO_IDS)
+@pytest.mark.parametrize("validate", [su2.unit_axis, bloch.bloch_vector], ids=_VALIDATOR_IDS)
 @pytest.mark.parametrize("one", [Fraction(1), np.float64(1.0)], ids=["Fraction", "float64"])
 def test_a_tuple_of_other_reals_still_validates(validate, one):
     vector = (0.0, one, 0.0)
@@ -199,7 +201,7 @@ def _near_unit_tuples(seed, n):
         yield tuple((v / np.linalg.norm(v) * scale).tolist())
 
 
-@pytest.mark.parametrize("validate, error", _MEMOIZED, ids=_MEMO_IDS)
+@pytest.mark.parametrize("validate, error", _VALIDATORS, ids=_VALIDATOR_IDS)
 def test_a_repeated_call_returns_the_bits_of_a_fresh_check(validate, error):
     name = "axis" if validate is su2.unit_axis else "Bloch vector"
     for v in _near_unit_tuples(90, 10_000):
@@ -208,31 +210,24 @@ def test_a_repeated_call_returns_the_bits_of_a_fresh_check(validate, error):
         assert _bits(first).tolist() == _bits(again).tolist() == _bits(fresh).tolist(), v
 
 
-def test_threads_sharing_the_memo_get_the_right_results():
-    # The threads check the same few vector objects, each from its own offset.
-    # With a short switch interval they interleave between memo reads and
-    # writes, and a torn or stale pair would hand a thread the result of
-    # another vector.
-    vectors = list(_near_unit_tuples(91, 4))
-    expected = {id(v): _kernel._unit3(v, "axis", ValueError, 1e-6) for v in vectors}
-    wrong = []
-
-    def work(offset):
-        for _ in range(2000):
-            for v in vectors[offset:] + vectors[:offset]:
-                for validate in (su2.unit_axis, bloch.bloch_vector, su2.unit_axis):
-                    if validate(v) != expected[id(v)]:
-                        wrong.append(v)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+def test_none_is_rejected_in_a_fresh_interpreter():
+    # A validator that kept state between calls could answer None from its
+    # initial state, before it had checked anything; a fresh process has
+    # nothing cached.
+    code = textwrap.dedent(
+        """
+        from dualbloch.bloch import bloch_vector
+        from dualbloch.pictures import EvolutionSpec
+        from dualbloch.su2 import AxisNotUnitError, unit_axis
+        for call, error in ((unit_axis, AxisNotUnitError), (bloch_vector, ValueError),
+                            (EvolutionSpec, AxisNotUnitError)):
+            try:
+                call(None)
+            except error as exc:
+                assert "must be a 3-vector" in str(exc), exc
+            else:
+                raise SystemExit(f"{call.__name__}(None) did not raise")
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()

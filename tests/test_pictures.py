@@ -155,6 +155,14 @@ def test_evolution_spec_axis_is_read_only():
     np.testing.assert_array_equal(evolve(spec, Z, 1.0), evolve(SCHRO, Z, 1.0))
 
 
+def test_a_replaced_axis_is_the_one_evolve_rotates_about():
+    spec = dataclasses.replace(SCHRO, axis=(1.0, 0.0, 0.0))
+    assert evolve(spec, Z, 1.0) == evolve(EvolutionSpec((1.0, 0.0, 0.0)), Z, 1.0)
+    assert evolve(spec, Z, 1.0) != evolve(SCHRO, Z, 1.0)
+    assert [f.name for f in dataclasses.fields(spec)] == ["axis", "rate", "picture"]
+    assert spec == EvolutionSpec((1.0, 0.0, 0.0)) and "_unit" not in repr(spec)
+
+
 def test_operator_identity_adjoint_negates_time():
     rng = np.random.default_rng(52)
     for _ in range(200):
