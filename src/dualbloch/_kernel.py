@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterator
 
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
 
@@ -149,12 +150,11 @@ def expectation(e, v) -> float:
     return d
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num).tolist() bit for bit, for num >= 2."""
+def _linspace(start: float, stop: float, num: int) -> Iterator[float]:
+    """np.linspace(start, stop, num) bit for bit, for num >= 2, point by point."""
     div = num - 1
     delta = stop - start
     step = delta / div
-    grid = [stop] * num  # one request: a grid too large for memory fails at once
     for i in range(div):  # a subnormal width steps by 0: divide first, as numpy does
-        grid[i] = (i / div * delta if step == 0 else i * step) + start
-    return grid
+        yield (i / div * delta if step == 0 else i * step) + start
+    yield stop

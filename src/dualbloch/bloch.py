@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, _rotation, _transport, _unit3, expectation, unit_axis
+from ._kernel import NORM_SLACK, _finite, _rotation, _transport, _unit3, expectation, unit_axis
 from ._kernel import bloch_vector, normalized  # the kernel's own objects, exported here
 from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -118,6 +118,7 @@ def rodrigues(axis, angle, v) -> tuple[float, float, float]:
     """
     n = unit_axis(axis)
     v = bloch_vector(v)
+    angle = _finite(angle, "angle")
     c = math.cos(angle)
     s = math.sin(angle)
     dot = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]

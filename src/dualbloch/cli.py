@@ -142,16 +142,10 @@ def cmd_self_ref_sweep(args) -> int:
     if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
         args.error("ranges must be ordered min < max and of finite width")
 
-    try:
-        deltas = _linspace(delta_lo, delta_hi, args.delta_steps)
-        thetas = _linspace(theta_lo, theta_hi, args.theta_steps)
-    except MemoryError as exc:
-        args.error(f"grid too large to allocate: {exc}")
-
     def rows():  # row-major, computed as they are written
-        for theta in thetas:
+        for theta in _linspace(theta_lo, theta_hi, args.theta_steps):
             basis = (math.sin(theta), 0.0, math.cos(theta))
-            for delta in deltas:
+            for delta in _linspace(delta_lo, delta_hi, args.delta_steps):
                 gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
                 yield theta, delta, gap, "true" if gap < args.tol else "false"
 
@@ -166,8 +160,6 @@ def cmd_trajectory(args) -> int:
         samples = trajectory(spec, args.input, args.t_start, args.t_end, args.steps)
     except ValueError as exc:  # a bad time range, or rate * t overflowing to inf
         args.error(str(exc))
-    except MemoryError as exc:
-        args.error(f"grid too large to allocate: {exc}")
     rows = ((s.time_label, *s.vector) for s in samples)
     fields = dict.fromkeys(("time_label", "vx", "vy", "vz"), REAL)
     return _write("-", _lines(args.format, fields, rows))

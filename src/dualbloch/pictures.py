@@ -94,8 +94,8 @@ def trajectory(
 
     Schrodinger and Heisenberg samples are labeled with the physical time t;
     heisenberg-reversed samples carry label -t while keeping the Heisenberg
-    vector at physical time t.  Every argument is checked and the grid is
-    allocated before this returns; each sample is computed as it is consumed.
+    vector at physical time t.  Every argument is checked before this
+    returns; each grid point and its sample are computed as they are consumed.
     """
     steps = operator.index(steps)
     if steps < 2:
@@ -106,12 +106,11 @@ def trajectory(
         raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
     bloch_vector(vector)  # evolve validates the caller's vector again, per sample
-    grid = _linspace(t_start, t_end, steps)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
     return (
         TrajectorySample(0.0 - t if reversed_labels else t, evolve(spec, vector, t), spec.picture)
-        for t in grid
+        for t in _linspace(t_start, t_end, steps)
     )
 
 

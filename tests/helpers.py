@@ -22,11 +22,13 @@ def cli_env():
 
 
 def run_cli(*argv):
-    """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes."""
+    """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes.
+    A command still running after 60 s raises subprocess.TimeoutExpired."""
     return subprocess.run(
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
         capture_output=True,
         env=cli_env(),
+        timeout=60,
     )
 
 

@@ -342,6 +342,12 @@ def test_rodrigues_rejects_bad_axis():
         rodrigues((0.0, 0.0, 0.0), 1.0, (0, 0, 1))
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rodrigues_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        rodrigues(Y_AXIS, angle, (0, 0, 1))
+
+
 # --------------------------------------------------------- dual-picture core
 
 

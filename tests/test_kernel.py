@@ -40,7 +40,8 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
     for start, stop, num in _draws(rng, 10_000):
         zero_steps += (stop - start) / (num - 1) == 0.0
         want = np.linspace(start, stop, num)
-        assert np.array_equal(_bits(_linspace(start, stop, num)), _bits(want)), (start, stop, num)
+        got = list(_linspace(start, stop, num))
+        assert np.array_equal(_bits(got), _bits(want)), (start, stop, num)
     assert zero_steps > 100  # the divide-first branch ran
 
 
@@ -49,9 +50,16 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
     [(0.0, 5e-324, 3), (0.0, 1.0, 2), (-3.0, -1.0, 5), (2.0, -2.0, 4), (-0.0, 1.0, 3)],
 )
 def test_linspace_named_cases(start, stop, num):
-    got = _linspace(start, stop, num)
+    got = list(_linspace(start, stop, num))
     assert np.array_equal(_bits(got), _bits(np.linspace(start, stop, num)))
     assert got[-1] == stop and len(got) == num
+
+
+def test_linspace_yields_the_first_point_of_a_huge_grid_at_once():
+    # 10^17 points: each is computed as it is drawn, none allocated up front.
+    grid = _linspace(0.0, 1.0, 10**17)
+    assert next(grid) == 0.0
+    assert 0.0 < next(grid) < 1e-16
 
 
 _HUGE = 10**400  # an int beyond the largest float
@@ -71,6 +79,7 @@ _AXIS = (0.0, 1.0, 0.0)
             pictures.BadRangeError,
         ),
         (lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), [_HUGE]), ValueError),
+        (lambda: bloch.rodrigues(_AXIS, _HUGE, (0, 0, 1)), ValueError),
     ],
     ids=[
         "unit_axis",
@@ -80,6 +89,7 @@ _AXIS = (0.0, 1.0, 0.0)
         "evolve",
         "trajectory",
         "reversed_label_equivalence",
+        "rodrigues",
     ],
 )
 def test_huge_integers_raise_the_validators_error(call, error):
