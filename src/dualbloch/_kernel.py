@@ -1,6 +1,10 @@
 """The rotation path on plain floats, without numpy: the 3-vector validators
 (su2 and bloch export these same objects), SU(2) entries, their SO(3)
 rotation, transport, expectation and grids.  A vector is a float triple.
+
+Every vector a validator returns is a fixed point of all three validators:
+a vector of unit norm to within one ulp comes back bit for bit, so checking
+a vector twice gives the bits of checking it once.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ def _finite(value, name: str, error: type = ValueError) -> float:
 
 def _unit3(components, name: str, error: type, slack: float | None) -> tuple[float, float, float]:
     """Validate a list, tuple or shape-(3,) array of three real numbers (else
-    raise error, calling no float()) and return it scaled to unit norm.
-    With slack=None any nonzero finite vector passes; otherwise its norm must
-    lie within slack of 1.  math.hypot scales internally, so the norm is inf
-    only for non-finite input or a true norm beyond the largest float, and
-    only then are the components inspected.
+    raise error, calling no float()) and return it scaled to unit norm, or
+    as it is when its norm is already 1 to within one ulp.  With slack=None
+    any nonzero finite vector passes; otherwise its norm must lie within
+    slack of 1.  math.hypot scales internally, so the norm is inf only for
+    non-finite input or a true norm beyond the largest float, and only then
+    are the components inspected.
     """
     shape = getattr(components, "shape", None)
     if shape is not None:
@@ -62,6 +67,8 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
             norm = math.hypot(x, y, z)
     elif abs(norm - 1.0) >= slack:
         raise error(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
+    if abs(norm - 1.0) <= sys.float_info.epsilon:
+        return x, y, z
     return x / norm, y / norm, z / norm
 
 
@@ -89,12 +96,8 @@ def normalized(components) -> tuple[float, float, float]:
 
 
 def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
-    """Entries (a, b, c, d), row by row, of su2.make_unitary(axis, angle)."""
-    return _unit_entries(unit_axis(axis), angle)
-
-
-def _unit_entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
-    """_entries of an axis that unit_axis returned, which is not checked again."""
+    """Entries (a, b, c, d), row by row, of su2.make_unitary(axis, angle), for
+    an axis that unit_axis returned."""
     x, y, z = axis
     angle = _finite(angle, "angle")
     c = math.cos(0.5 * angle)

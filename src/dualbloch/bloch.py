@@ -12,6 +12,7 @@ the expectation value ``e . v`` is unchanged.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -58,6 +59,7 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     PCG64 generator seeded with rng_seed, so identical seeds reproduce
     identical samples bit for bit.
     """
+    shots = operator.index(shots)
     if shots < 1:
         raise ZeroShotsError(f"shots must be >= 1, got {shots}")
     p_plus = 0.5 * (1.0 + expectation(e, v))

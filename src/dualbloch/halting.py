@@ -83,14 +83,14 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     r = _rotation(*_entries(machine.axis, machine.angle))
     flip = _rotation(0j, 1 + 0j, 1 + 0j, 0j)  # the entries of SIGMA_X, row by row
     if picture is Picture.SCHRODINGER:
-        system_out = _transport(r, bloch_vector(machine.system), inverse=False)
+        system_out = _transport(r, machine.system, inverse=False)
         halt_out = _transport(flip, machine.halt, inverse=False)
         system_basis_out = machine.system_basis
         halt_basis_out = machine.halt_basis
     elif picture is Picture.HEISENBERG:
         system_out = machine.system
         halt_out = machine.halt
-        system_basis_out = _transport(r, bloch_vector(machine.system_basis), inverse=True)
+        system_basis_out = _transport(r, machine.system_basis, inverse=True)
         halt_basis_out = _transport(flip, machine.halt_basis, inverse=True)
     else:
         raise UnsupportedPictureError(
@@ -115,7 +115,7 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     true in both pictures regardless.  One SO(3) matrix R gives both: R b
     and R^T b, the transports of rotate_state and rotate_observable.
     """
-    r = _rotation(*_entries(axis, angle))
+    r = _rotation(*_entries(unit_axis(axis), angle))
     basis = bloch_vector(basis)
     s0, s1, s2 = schrodinger_output = _transport(r, basis, inverse=False)
     h0, h1, h2 = heisenberg_output = _transport(r, basis, inverse=True)

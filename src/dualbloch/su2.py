@@ -37,7 +37,7 @@ def pauli(which: str) -> np.ndarray:
 
 def make_unitary(axis, angle: float) -> np.ndarray:
     """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    a, b, c, d = _entries(axis, angle)
+    a, b, c, d = _entries(unit_axis(axis), angle)
     return np.array([[a, b], [c, d]])
 
 

@@ -28,7 +28,8 @@ from dualbloch.halting import (
 from dualbloch.pictures import Picture, reversed_label_equivalence
 from dualbloch.su2 import adjoint, compose, make_unitary
 
-from helpers import is_rotation, run_cli
+from helpers import run_cli
+from matrices import is_rotation
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)

@@ -30,7 +30,7 @@ from dualbloch.su2 import (
     make_unitary,
 )
 
-from helpers import is_rotation
+from matrices import is_rotation
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = np.array([0.0, 0.0, 1.0])
@@ -145,6 +145,13 @@ def test_measure_sample_reproducible_and_seed_sensitive():
     c = measure_sample((1, 0, 0), (0, 0, 1), rng_seed=10, shots=1000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("shots", [2.5, 0.5])
+def test_measure_sample_takes_only_an_integer_shot_count(shots):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=shots)
+    assert measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=np.int64(3)).tolist() == [1] * 3
 
 
 def test_measure_sample_rejects_zero_shots():

@@ -24,6 +24,8 @@ from dualbloch.halting import (
 from dualbloch.pictures import Picture
 from dualbloch.su2 import AxisNotUnitError, make_unitary
 
+from matrices import near_unit_vector
+
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
@@ -115,6 +117,20 @@ def test_run_zero_angle_still_halts():
     assert report.halt_expectation == pytest.approx(-1.0, abs=1e-15)
 
 
+def test_run_outputs_are_the_public_transports_bit_for_bit():
+    rng = np.random.default_rng(64)
+    for draw in (random_unit_vector, near_unit_vector):
+        for _ in range(300):
+            angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            m = HaltingMachine(draw(rng), angle, draw(rng), draw(rng))
+            u = make_unitary(m.axis, m.angle)
+            schro, heis = run(m, Picture.SCHRODINGER), run(m, Picture.HEISENBERG)
+            np.testing.assert_array_equal(schro.system_out, rotate_state(u, m.system))
+            np.testing.assert_array_equal(
+                heis.system_basis_out, rotate_observable(u, m.system_basis)
+            )
+
+
 def test_run_rejects_the_reversed_picture():
     m = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS)
     with pytest.raises(UnsupportedPictureError):
@@ -159,13 +175,14 @@ def test_self_reference_outputs_are_the_two_transports_bit_for_bit():
     # One SO(3) matrix serves both readings; the outputs must not drift from
     # rotate_state and rotate_observable by even one ulp.
     rng = np.random.default_rng(63)
-    for _ in range(300):
-        axis, basis = random_unit_vector(rng), random_unit_vector(rng)
-        delta = float(rng.uniform(-4 * math.pi, 4 * math.pi))
-        u = make_unitary(axis, delta)
-        report = self_reference(axis, delta, basis)
-        np.testing.assert_array_equal(report.schrodinger_output, rotate_state(u, basis))
-        np.testing.assert_array_equal(report.heisenberg_output, rotate_observable(u, basis))
+    for draw in (random_unit_vector, near_unit_vector):
+        for _ in range(300):
+            axis, basis = draw(rng), draw(rng)
+            delta = float(rng.uniform(-4 * math.pi, 4 * math.pi))
+            u = make_unitary(axis, delta)
+            report = self_reference(axis, delta, basis)
+            np.testing.assert_array_equal(report.schrodinger_output, rotate_state(u, basis))
+            np.testing.assert_array_equal(report.heisenberg_output, rotate_observable(u, basis))
 
 
 def test_self_reference_on_axis_basis_agrees():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualbloch import _kernel, bloch, halting, pictures, su2
 from dualbloch._kernel import _linspace
@@ -218,6 +221,32 @@ def test_a_repeated_call_returns_the_bits_of_a_fresh_check(validate, error):
         first, again = validate(v), validate(v)
         fresh = _kernel._unit3(v, name, error, _kernel.NORM_SLACK)
         assert _bits(first).tolist() == _bits(again).tolist() == _bits(fresh).tolist(), v
+
+
+_SUBNORMAL = 2.0**-1022  # components below this take normalized's rescale branch
+_ordinary = st.tuples(*[st.floats(-1e3, 1e3)] * 3)
+_near_unit = st.tuples(
+    _ordinary.filter(lambda v: math.hypot(*v) > 1e-3),
+    st.floats(-0.9 * _kernel.NORM_SLACK, 0.9 * _kernel.NORM_SLACK),
+).map(lambda vs: tuple(c / math.hypot(*vs[0]) * (1.0 + vs[1]) for c in vs[0]))
+_huge = st.tuples(*[st.floats(1e300, 1.7e308) | st.floats(-1.7e308, -1e300) | st.just(0.0)] * 3)
+_subnormal = st.tuples(*[st.floats(-_SUBNORMAL, _SUBNORMAL)] * 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given((_ordinary | _near_unit | _huge | _subnormal).filter(any))
+def test_a_checked_vector_is_a_fixed_point_of_every_validator(raw):
+    # Whatever vector one validator returns, each of the three returns again
+    # bit for bit, so a second check never has to be counted.
+    validators = (_kernel.unit_axis, _kernel.bloch_vector, _kernel.normalized)
+    checked = []
+    for validate in validators:
+        with contextlib.suppress(ValueError):  # only normalized takes any length
+            checked.append(validate(raw))
+    assert checked
+    for vector in checked:
+        for validate in validators:
+            assert _bits(validate(vector)).tolist() == _bits(vector).tolist(), (raw, validate)
 
 
 def test_none_is_rejected_in_a_fresh_interpreter():

@@ -18,6 +18,8 @@ from dualbloch.pictures import (
 )
 from dualbloch.su2 import AxisNotUnitError, adjoint, make_unitary
 
+from matrices import near_unit_vector
+
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = (0.0, 0.0, 1.0)
 
@@ -64,15 +66,16 @@ def test_reversed_reading_shares_the_heisenberg_flow():
 
 def test_evolve_is_the_public_transport_bit_for_bit():
     rng = np.random.default_rng(52)
-    for _ in range(300):
-        axis, rate = random_unit_vector(rng), float(rng.uniform(-3, 3))
-        t = float(rng.uniform(-10, 10))
-        v = random_unit_vector(rng)
-        schro, heis, heis_rev = (EvolutionSpec(axis, rate, picture) for picture in Picture)
-        u = make_unitary(schro.axis, rate * t)
-        np.testing.assert_array_equal(evolve(schro, v, t), rotate_state(u, v))
-        np.testing.assert_array_equal(evolve(heis, v, t), rotate_observable(u, v))
-        np.testing.assert_array_equal(evolve(heis_rev, v, t), rotate_observable(u, v))
+    for draw in (random_unit_vector, near_unit_vector):
+        for _ in range(300):
+            axis, rate = draw(rng), float(rng.uniform(-3, 3))
+            t = float(rng.uniform(-10, 10))
+            v = draw(rng)
+            schro, heis, heis_rev = (EvolutionSpec(axis, rate, picture) for picture in Picture)
+            u = make_unitary(axis, rate * t)
+            np.testing.assert_array_equal(evolve(schro, v, t), rotate_state(u, v))
+            np.testing.assert_array_equal(evolve(heis, v, t), rotate_observable(u, v))
+            np.testing.assert_array_equal(evolve(heis_rev, v, t), rotate_observable(u, v))
 
 
 def test_evolve_respects_rate():

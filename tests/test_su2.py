@@ -19,7 +19,7 @@ from dualbloch.su2 import (
     unit_axis,
 )
 
-from helpers import equal_entrywise, equal_up_to_phase, is_unitary
+from matrices import equal_entrywise, equal_up_to_phase, is_unitary
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
