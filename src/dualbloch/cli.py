@@ -105,8 +105,12 @@ def _write(path: str, lines) -> int:
 
 
 def cmd_equiv_check(args) -> int:
-    import numpy as np
-    from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
+    try:
+        import numpy as np
+        from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
+    except ImportError as exc:
+        print(f"error: equiv-check needs numpy: {exc}", file=sys.stderr)
+        return 1
 
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
@@ -128,7 +132,7 @@ def cmd_halting_demo(args) -> int:
     delta = math.radians(args.delta) if args.degrees else args.delta
     machine = HaltingMachine(axis=args.axis, angle=delta, system=args.system)
     report = run(machine, Picture(args.picture))
-    doc = dict(vars(report), picture=report.picture.value)  # keys in RunReport field order
+    doc = dict(report._asdict(), picture=report.picture.value)
     return _write("-", [json.dumps(doc) + "\n"])
 
 

@@ -14,8 +14,7 @@ angle is a multiple of pi, and nowhere else.  Vectors are float triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from collections import namedtuple
 
 from ._kernel import _entries, _finite, _rotation, _transport, bloch_vector, expectation, unit_axis
 from .pictures import Picture
@@ -29,46 +28,35 @@ class UnsupportedPictureError(ValueError):
     """The halting machine is defined only in the two standard pictures."""
 
 
-@dataclass(frozen=True)
-class HaltingMachine:
+class HaltingMachine(namedtuple("HaltingMachine", "axis angle system system_basis")):
     """Rotation parameters plus the four unit vectors it acts on.
 
     The halt qubit and its observable are both HALT_POLE, (0, 0, 1), shared
     by every machine; the sigma_x flip applied by run() is what drives their
-    expectation to -1.
+    expectation to -1.  Every field is checked on construction, and
+    _replace, copy and pickle all construct anew.
     """
 
-    axis: tuple[float, float, float]
-    angle: float
-    system: tuple[float, float, float]
-    system_basis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    halt: ClassVar[tuple[float, float, float]] = HALT_POLE
-    halt_basis: ClassVar[tuple[float, float, float]] = HALT_POLE
+    __slots__ = ()
+    halt = halt_basis = HALT_POLE
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_axis(self.axis))
-        object.__setattr__(self, "angle", _finite(self.angle, "angle"))
-        object.__setattr__(self, "system", bloch_vector(self.system))
-        object.__setattr__(self, "system_basis", bloch_vector(self.system_basis))
+    def __new__(cls, axis, angle, system, system_basis=(0.0, 0.0, 1.0)):
+        axis, angle = unit_axis(axis), _finite(angle, "angle")
+        return super().__new__(cls, axis, angle, bloch_vector(system), bloch_vector(system_basis))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    picture: Picture
-    system_out: tuple[float, float, float]
-    halt_out: tuple[float, float, float]
-    system_basis_out: tuple[float, float, float]
-    halt_basis_out: tuple[float, float, float]
-    system_expectation: float
-    halt_expectation: float
-
-
-@dataclass(frozen=True)
-class SelfRefReport:
-    schrodinger_output: tuple[float, float, float]
-    heisenberg_output: tuple[float, float, float]
-    discrepancy_angle: float
-    halted_in_both: bool
+RunReport = namedtuple(
+    "RunReport",
+    "picture system_out halt_out system_basis_out halt_basis_out"
+    " system_expectation halt_expectation",
+)
+SelfRefReport = namedtuple(
+    "SelfRefReport", "schrodinger_output heisenberg_output discrepancy_angle halted_in_both"
+)
 
 
 def run(machine: HaltingMachine, picture: Picture) -> RunReport:

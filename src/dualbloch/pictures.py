@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from ._kernel import _entries, _finite, _linspace, _rotation, _transport, bloch_vector, unit_axis
@@ -41,26 +41,27 @@ class EmptyGridError(ValueError):
     """Time grid must contain at least one point."""
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """Generator unit axis, angular rate (radians per unit time), and picture."""
+class EvolutionSpec(namedtuple("EvolutionSpec", "axis rate picture")):
+    """Generator unit axis, angular rate (radians per unit time), and picture.
 
-    axis: tuple[float, float, float]
-    rate: float = 1.0
-    picture: Picture = Picture.SCHRODINGER
+    Every field is checked on construction, and _replace, copy and pickle
+    all construct anew.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_axis(self.axis))
-        object.__setattr__(self, "rate", _finite(self.rate, "rate"))
-        if not isinstance(self.picture, Picture):
-            raise ValueError(f"picture must be a Picture, got {self.picture!r}")
+    __slots__ = ()
+
+    def __new__(cls, axis, rate=1.0, picture=Picture.SCHRODINGER):
+        axis, rate = unit_axis(axis), _finite(rate, "rate")
+        if not isinstance(picture, Picture):
+            raise ValueError(f"picture must be a Picture, got {picture!r}")
+        return super().__new__(cls, axis, rate, picture)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    time_label: float
-    vector: tuple[float, float, float]
-    picture: Picture
+TrajectorySample = namedtuple("TrajectorySample", "time_label vector picture")
 
 
 def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:

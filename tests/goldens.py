@@ -6,7 +6,8 @@ neither numpy nor pytest.  From the root of a checkout:
     python tests/goldens.py           # rewrite the files, then review the diff
 
 A change to any of these bytes must be deliberate.  Without numpy the
-equiv-check case cannot run, and the check reports it as skipped.
+equiv-check case has no bytes to compare: the check reports them as skipped,
+once the command has exited 1 with a one-line error and no traceback.
 """
 
 import argparse
@@ -73,22 +74,26 @@ def regenerate(cases, directory: Path) -> int:
 def check(cases, directory: Path) -> int:
     """Run every case and compare its stdout with its file in directory,
     printing one line per case.  Returns 1 if any output differs or any case
-    exits non-zero or writes to stderr.  A case that needs numpy is skipped,
-    not passed, when numpy is not installed."""
+    exits non-zero or writes to stderr.  When numpy is not installed, a case
+    that needs it must instead exit 1 with one line on stderr and no
+    traceback; its bytes are then reported as skipped, not passed."""
     has_numpy = find_spec("numpy") is not None
     failed = False
     for name, argv in cases.items():
-        if argv[0] in NEEDS_NUMPY and not has_numpy:
-            print(f"{name}: skipped, numpy is not installed")
-            continue
         proc = run_cli(*argv)
-        if proc.returncode or proc.stderr:
+        if argv[0] in NEEDS_NUMPY and not has_numpy:
+            one_line = len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
+            if proc.returncode == 1 and one_line and not proc.stdout:
+                verdict = "skipped, numpy is not installed"
+            else:
+                verdict = f"FAILED without numpy: exit {proc.returncode}, stderr {proc.stderr!r}"
+        elif proc.returncode or proc.stderr:
             verdict = f"FAILED: exit {proc.returncode}, stderr {proc.stderr!r}"
         elif proc.stdout != (directory / name).read_bytes():
             verdict = f"FAILED: output differs from {directory / name}"
         else:
             verdict = "ok"
-        failed |= verdict != "ok"
+        failed |= verdict.startswith("FAILED")
         print(f"{name}: {verdict}")
     return int(failed)
 

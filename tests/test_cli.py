@@ -72,7 +72,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print("numpy" in sys.modules)
+print(*(m in sys.modules for m in ("numpy", "dataclasses", "inspect")))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["equiv-check", "--trials", "10", "--seed", "1"]) == 0
 print("PASS" in out.getvalue(), "numpy" in sys.modules)
@@ -80,9 +80,10 @@ print("PASS" in out.getvalue(), "numpy" in sys.modules)
 
 
 def test_only_equiv_check_loads_numpy():
+    # The numpy-free commands load neither dataclasses nor, through it, inspect.
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE], capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\nTrue True\n"
+    assert proc.stdout == b"False False False\nTrue True\n"
 
 
 # ---------------------------------------------------------------- equiv-check
@@ -95,6 +96,18 @@ def test_equiv_check_passes_and_reports():
     assert "max deviation" in out
     assert "PASS" in out
     assert "PCG64" in out
+
+
+def test_equiv_check_without_numpy_says_so_in_one_line():
+    code = (
+        "import sys; sys.modules['numpy'] = None; from dualbloch.cli import main; "
+        "sys.exit(main(['equiv-check', '--trials', '1', '--seed', '1']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: equiv-check needs numpy")
+    assert len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
 
 
 def test_equiv_check_single_trial():

@@ -53,12 +53,27 @@ def test_check_fails_on_a_changed_byte(tmp_path, capsys):
     ]
 
 
-def test_check_skips_equiv_check_without_numpy(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "numpy_init, verdict",
+    [
+        ("raise ModuleNotFoundError(\"No module named 'numpy'\", name='numpy')", "skipped"),
+        ("raise RuntimeError('a broken numpy')", "FAILED without numpy"),
+    ],
+    ids=["missing", "broken"],
+)
+def test_check_without_numpy_wants_a_one_line_error(
+    numpy_init, verdict, tmp_path, monkeypatch, capsys
+):
+    # A numpy package that fails on import, first on the subprocesses' path,
+    # stands in for an interpreter without numpy.  equiv-check must then exit
+    # 1 with one line; a traceback, as from the broken package, fails the check.
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(numpy_init + "\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    monkeypatch.setattr("goldens.find_spec", lambda name: None)
     cases = {name: CASES[name] for name in ("equiv-check.txt", "self-ref-sweep.csv")}
     assert regenerate({"self-ref-sweep.csv": CASES["self-ref-sweep.csv"]}, tmp_path) == 0
-    monkeypatch.setattr("goldens.find_spec", lambda name: None)
-    assert check(cases, tmp_path) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "equiv-check.txt: skipped, numpy is not installed",
-        "self-ref-sweep.csv: ok",
-    ]
+    assert check(cases, tmp_path) == (verdict != "skipped")
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith(f"equiv-check.txt: {verdict}")
+    assert second == "self-ref-sweep.csv: ok"

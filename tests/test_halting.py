@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from dualbloch.halting import (
     run,
     self_reference,
 )
-from dualbloch.pictures import Picture
+from dualbloch.pictures import EvolutionSpec, Picture, trajectory
 from dualbloch.su2 import AxisNotUnitError, make_unitary
 
 from matrices import near_unit_vector
@@ -58,10 +59,47 @@ def test_machines_share_the_read_only_halt_pole():
         HALT_POLE[0] = 1.0
 
 
-def test_machine_is_immutable():
-    m = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.angle = 2.0
+_RECORDS = {
+    "HaltingMachine": lambda: HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS),
+    "RunReport": lambda: run(_RECORDS["HaltingMachine"](), Picture.SCHRODINGER),
+    "SelfRefReport": lambda: self_reference(Y_AXIS, 1.0, Z_AXIS),
+    "EvolutionSpec": lambda: EvolutionSpec(Y_AXIS, 1.0, Picture.HEISENBERG),
+    "TrajectorySample": lambda: next(trajectory(EvolutionSpec(Y_AXIS), Z_AXIS, 0.0, 1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable(name):
+    record = _RECORDS[name]()
+    # A field cannot be rebound, and a subclass that forgot __slots__ = ()
+    # would take a new attribute.
+    for attribute in (record._fields[0], "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 2.0)
+    assert record == tuple(getattr(record, f) for f in record._fields)
+
+
+_REBUILDS = {
+    "_replace": lambda record: record._replace(),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+if hasattr(copy, "replace"):  # Python 3.13
+    _REBUILDS["copy.replace"] = copy.replace
+
+
+@pytest.mark.parametrize("rebuild", sorted(_REBUILDS))
+@pytest.mark.parametrize("cls", [HaltingMachine, EvolutionSpec], ids=lambda cls: cls.__name__)
+def test_every_rebuild_of_a_validated_record_validates(cls, rebuild):
+    valid = _RECORDS[cls.__name__]()
+    rebuilt = _REBUILDS[rebuild](valid)
+    assert type(rebuilt) is cls and rebuilt == valid
+    # A record that skipped validation (tuple.__new__ is the only way to
+    # make one) is checked again by every way of rebuilding it.
+    unchecked = tuple.__new__(cls, ((2.0, 0.0, 0.0), *valid[1:]))
+    with pytest.raises(AxisNotUnitError, match="axis norm 2.0"):
+        _REBUILDS[rebuild](unchecked)
 
 
 def test_stored_vectors_and_run_pass_throughs_are_read_only():

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import subprocess
 import sys
@@ -138,12 +137,12 @@ _VECTORS = {
         for f in ("axis", "system", "system_basis", "halt", "halt_basis")
     },
     **{
-        f"halting.RunReport.{f.name}({picture.value})": (
-            lambda f=f, picture=picture: getattr(halting.run(_MACHINE, picture), f.name)
+        f"halting.RunReport.{f}({picture.value})": (
+            lambda f=f, picture=picture: getattr(halting.run(_MACHINE, picture), f)
         )
         for picture in (pictures.Picture.SCHRODINGER, pictures.Picture.HEISENBERG)
-        for f in dataclasses.fields(halting.RunReport)
-        if f.name.endswith("_out")
+        for f in halting.RunReport._fields
+        if f.endswith("_out")
     },
     **{
         f"halting.SelfRefReport.{f}": (

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from dualbloch import pictures
 from dualbloch.bloch import expectation, random_unit_vector, rotate_observable, rotate_state
+from dualbloch.halting import HaltingMachine
 from dualbloch.pictures import (
     BadRangeError,
     EmptyGridError,
@@ -160,11 +160,17 @@ def test_evolution_spec_axis_is_read_only():
 
 
 def test_a_replaced_axis_is_the_one_evolve_rotates_about():
-    spec = dataclasses.replace(SCHRO, axis=(1.0, 0.0, 0.0))
+    spec = SCHRO._replace(axis=(1.0, 0.0, 0.0))
     assert evolve(spec, Z, 1.0) == evolve(EvolutionSpec((1.0, 0.0, 0.0)), Z, 1.0)
     assert evolve(spec, Z, 1.0) != evolve(SCHRO, Z, 1.0)
-    assert [f.name for f in dataclasses.fields(spec)] == ["axis", "rate", "picture"]
+    assert spec._fields == ("axis", "rate", "picture")
     assert spec == EvolutionSpec((1.0, 0.0, 0.0)) and "_unit" not in repr(spec)
+    # A replacement is checked like a construction, with the same error.
+    with pytest.raises(AxisNotUnitError, match="axis norm 2.0"):
+        SCHRO._replace(axis=(2, 0, 0))
+    machine = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z)
+    with pytest.raises(ValueError, match="^angle must be finite$"):
+        machine._replace(angle=math.inf)
 
 
 def test_operator_identity_adjoint_negates_time():
@@ -246,7 +252,7 @@ def test_reversed_label_equivalence_detects_a_wrong_picture(monkeypatch):
     real_evolve = pictures.evolve
 
     def schrodinger_evolve(spec, vector, t):
-        return real_evolve(dataclasses.replace(spec, picture=Picture.SCHRODINGER), vector, t)
+        return real_evolve(spec._replace(picture=Picture.SCHRODINGER), vector, t)
 
     monkeypatch.setattr(pictures, "evolve", schrodinger_evolve)
     assert reversed_label_equivalence(Y_AXIS, 1.0, Z, [0.0])
