@@ -1,6 +1,7 @@
 """The rotation path on plain floats, without numpy: the 3-vector validators
 (su2 and bloch export these same objects), SU(2) entries, their SO(3)
-rotation, transport, expectation and grids.  A vector is a float triple.
+rotation, transport, expectation and grids.  A vector is a float triple,
+and every rejected input raises ValueError with a message that names it.
 
 Every vector a validator returns is a fixed point of all three validators:
 a vector of unit norm to within one ulp comes back bit for bit, so checking
@@ -17,25 +18,22 @@ from collections.abc import Iterator
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
 
 
-class AxisNotUnitError(ValueError):
-    """Rotation axis is not normalizable to a unit vector."""
-
-
-def _finite(value, name: str, error: type = ValueError) -> float:
-    """value as a float, raising error unless it is finite: an int beyond the
-    float range counts as infinite, and a string raises math.isfinite's TypeError."""
+def _finite(value, name: str) -> float:
+    """value as a float, raising ValueError unless it is finite: an int beyond
+    the float range counts as infinite, and a string raises math.isfinite's
+    TypeError."""
     try:
         finite = math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise error(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite")
     return float(value)
 
 
-def _unit3(components, name: str, error: type, slack: float | None) -> tuple[float, float, float]:
+def _unit3(components, name: str, slack: float | None) -> tuple[float, float, float]:
     """Validate a list, tuple or shape-(3,) array of three real numbers (else
-    raise error, calling no float()) and return it scaled to unit norm, or
+    raise ValueError, calling no float()) and return it scaled to unit norm, or
     as it is when its norm is already 1 to within one ulp.  With slack=None
     any nonzero finite vector passes; otherwise its norm must lie within
     slack of 1.  math.hypot scales internally, so the norm is inf only for
@@ -45,28 +43,28 @@ def _unit3(components, name: str, error: type, slack: float | None) -> tuple[flo
     shape = getattr(components, "shape", None)
     if shape is not None:
         if shape != (3,):
-            raise error(f"{name} must be a 3-vector, got shape {shape}")
+            raise ValueError(f"{name} must be a 3-vector, got shape {shape}")
         components = components.tolist()
     elif not isinstance(components, (list, tuple)) or len(components) != 3:
-        raise error(f"{name} must be a 3-vector, got {components!r:.40}")
+        raise ValueError(f"{name} must be a 3-vector, got {components!r:.40}")
     x, y, z = components
     if not (type(x) is float and type(y) is float and type(z) is float):
         if not all(isinstance(c, numbers.Real) for c in components):
-            raise error(f"{name} must be a 3-vector of real numbers")
-        x, y, z = (_finite(c, f"{name} components", error) for c in components)
+            raise ValueError(f"{name} must be a 3-vector of real numbers")
+        x, y, z = (_finite(c, f"{name} components") for c in components)
     norm = math.hypot(x, y, z)
     if not math.isfinite(norm) and not all(map(math.isfinite, (x, y, z))):
-        raise error(f"{name} components must be finite")
+        raise ValueError(f"{name} components must be finite")
     if slack is None:
         if norm == 0.0:
-            raise error("zero vector has no direction")
+            raise ValueError("zero vector has no direction")
         if not sys.float_info.min <= norm < math.inf:
             # Past the largest float, or subnormal: rescale, then measure.
             m = max(abs(x), abs(y), abs(z))
             x, y, z = x / m, y / m, z / m
             norm = math.hypot(x, y, z)
     elif abs(norm - 1.0) >= slack:
-        raise error(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
+        raise ValueError(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
     if abs(norm - 1.0) <= sys.float_info.epsilon:
         return x, y, z
     return x / norm, y / norm, z / norm
@@ -76,9 +74,9 @@ def unit_axis(components) -> tuple[float, float, float]:
     """Validate a rotation axis and return it normalized to machine precision.
 
     Accepts any finite 3-vector whose norm is within NORM_SLACK of 1; the
-    zero vector and anything farther from unit norm raise AxisNotUnitError.
+    zero vector and anything farther from unit norm raise ValueError.
     """
-    return _unit3(components, "axis", AxisNotUnitError, NORM_SLACK)
+    return _unit3(components, "axis", NORM_SLACK)
 
 
 def bloch_vector(components) -> tuple[float, float, float]:
@@ -87,12 +85,12 @@ def bloch_vector(components) -> tuple[float, float, float]:
     Same acceptance policy as axes: finite 3-vectors within NORM_SLACK of
     unit norm pass (and are renormalized), everything else raises ValueError.
     """
-    return _unit3(components, "Bloch vector", ValueError, NORM_SLACK)
+    return _unit3(components, "Bloch vector", NORM_SLACK)
 
 
 def normalized(components) -> tuple[float, float, float]:
     """Scale an arbitrary nonzero finite 3-vector onto the unit sphere."""
-    return _unit3(components, "vector", ValueError, None)
+    return _unit3(components, "vector", None)
 
 
 def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:

@@ -21,14 +21,6 @@ from ._kernel import bloch_vector, normalized  # the kernel's own objects, expor
 from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
-class NotAStateError(ValueError):
-    """Matrix is not a pure single-qubit density matrix."""
-
-
-class ZeroShotsError(ValueError):
-    """Measurement sampling needs at least one shot."""
-
-
 def state_to_density(v) -> np.ndarray:
     """Density matrix (I + v . sigma) / 2 of the pure state with Bloch vector v."""
     v = bloch_vector(v)
@@ -43,13 +35,13 @@ def density_to_state(m) -> tuple[float, float, float]:
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2) or not np.all(np.isfinite(m)):
-        raise NotAStateError("density matrix must be a finite 2x2 matrix")
+        raise ValueError("density matrix must be a finite 2x2 matrix")
     if float(np.max(np.abs(m - m.conj().T))) > 1e-9:
-        raise NotAStateError("density matrix must be Hermitian")
+        raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(m) - 1.0) > 1e-9:
-        raise NotAStateError(f"density matrix trace {np.trace(m)!r} must be 1")
+        raise ValueError(f"density matrix trace {np.trace(m)!r} must be 1")
     traces = [np.trace(s @ m).real for s in PAULIS]
-    return _unit3(traces, "pure-state Bloch vector", NotAStateError, NORM_SLACK)
+    return _unit3(traces, "pure-state Bloch vector", NORM_SLACK)
 
 
 def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
@@ -61,7 +53,7 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     """
     shots = operator.index(shots)
     if shots < 1:
-        raise ZeroShotsError(f"shots must be >= 1, got {shots}")
+        raise ValueError(f"shots must be >= 1, got {shots}")
     p_plus = 0.5 * (1.0 + expectation(e, v))
     p_plus = min(1.0, max(0.0, p_plus))
     rng = np.random.default_rng(rng_seed)

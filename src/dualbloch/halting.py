@@ -24,10 +24,6 @@ HALT_POLE = (0.0, 0.0, 1.0)
 FIXED_POINT_TOL = 1e-9  # default angular tolerance for classifying agreement
 
 
-class UnsupportedPictureError(ValueError):
-    """The halting machine is defined only in the two standard pictures."""
-
-
 class HaltingMachine(namedtuple("HaltingMachine", "axis angle system system_basis")):
     """Rotation parameters plus the four unit vectors it acts on.
 
@@ -81,7 +77,7 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
         system_basis_out = _transport(r, machine.system_basis, inverse=True)
         halt_basis_out = _transport(flip, machine.halt_basis, inverse=True)
     else:
-        raise UnsupportedPictureError(
+        raise ValueError(
             f"halting machine supports schrodinger and heisenberg only, got {picture!r}"
         )
     return RunReport(

@@ -29,18 +29,6 @@ class Picture(Enum):
     HEISENBERG_REVERSED = "heisenberg-reversed"
 
 
-class BadRangeError(ValueError):
-    """Trajectory time range must satisfy t_start < t_end, with a finite width."""
-
-
-class TooFewStepsError(ValueError):
-    """Trajectory grids need at least the two endpoint samples."""
-
-
-class EmptyGridError(ValueError):
-    """Time grid must contain at least one point."""
-
-
 class EvolutionSpec(namedtuple("EvolutionSpec", "axis rate picture")):
     """Generator unit axis, angular rate (radians per unit time), and picture.
 
@@ -89,11 +77,11 @@ def trajectory(
     """
     steps = operator.index(steps)
     if steps < 2:
-        raise TooFewStepsError(f"steps must be >= 2, got {steps}")
-    t_start = _finite(t_start, "t_start", BadRangeError)
-    t_end = _finite(t_end, "t_end", BadRangeError)
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    t_start = _finite(t_start, "t_start")
+    t_end = _finite(t_end, "t_end")
     if not 0.0 < t_end - t_start < math.inf:
-        raise BadRangeError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
+        raise ValueError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
     _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
     vector = bloch_vector(vector)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
@@ -114,7 +102,7 @@ def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:
     """
     grid = [_finite(t, "t") for t in t_grid]
     if not grid:
-        raise EmptyGridError("time grid must be non-empty")
+        raise ValueError("time grid must be non-empty")
     heis = EvolutionSpec(axis, rate, Picture.HEISENBERG)
     schro = EvolutionSpec(axis, rate, Picture.SCHRODINGER)
     for t in grid:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, AxisNotUnitError, _entries, unit_axis
+from ._kernel import _entries, unit_axis
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

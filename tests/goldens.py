@@ -6,8 +6,10 @@ neither numpy nor pytest.  From the root of a checkout:
     python tests/goldens.py           # rewrite the files, then review the diff
 
 A change to any of these bytes must be deliberate.  Without numpy the
-equiv-check case has no bytes to compare: the check reports them as skipped,
-once the command has exited 1 with a one-line error and no traceback.
+equiv-check case has no bytes: once the command has exited 1 with a one-line
+error and no traceback, the check reports them as skipped and a rewrite
+leaves that file alone.  The check also holds the CLI to its exit codes on
+two commands that need no numpy: a usage error and a reader that goes away.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 from importlib.util import find_spec
 from pathlib import Path
 
-from helpers import run_cli
+from helpers import run_cli, run_cli_closing_pipe
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -54,17 +56,42 @@ CASES = {
 }  # fmt: skip
 NEEDS_NUMPY = {"equiv-check"}  # the one command that loads numpy
 
+# The exit-code contract, on commands that need no numpy.
+USAGE_ERROR = ("self-ref-sweep", "--theta-steps", "1", "--delta-steps", "3")
+LONG_OUTPUT = (
+    "trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0", "1",
+    "--t-start", "0", "--t-end", "1", "--steps", "1000000",
+)  # fmt: skip
+
+
+def _verdict(argv, proc) -> str | None:
+    """None for a case that exited 0 with nothing on stderr, else one line.
+    When numpy is not installed, a case that needs it must instead exit 1
+    with one line on stderr, no traceback and no stdout; it is then skipped."""
+    if argv[0] in NEEDS_NUMPY and find_spec("numpy") is None:
+        one_line = len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
+        if proc.returncode == 1 and one_line and not proc.stdout:
+            return "skipped, numpy is not installed"
+        return f"FAILED without numpy: exit {proc.returncode}, stderr {proc.stderr!r}"
+    if proc.returncode or proc.stderr:
+        return f"FAILED: exit {proc.returncode}, stderr {proc.stderr!r}"
+    return None
+
 
 def regenerate(cases, directory: Path) -> int:
-    """Run every case and write its stdout to directory.  Writes nothing and
-    returns 1 if any case exits non-zero or writes to stderr."""
+    """Run every case and write its stdout to directory; a skipped case's
+    file is left as it is.  Writes nothing and returns 1 if any case fails."""
     outputs = {}
     for name, argv in cases.items():
         proc = run_cli(*argv)
-        if proc.returncode or proc.stderr:
-            print(f"{name}: exit {proc.returncode}, stderr {proc.stderr!r}", file=sys.stderr)
+        verdict = _verdict(argv, proc)
+        if verdict is None:
+            outputs[name] = proc.stdout
+        elif verdict.startswith("FAILED"):
+            print(f"{name}: {verdict}", file=sys.stderr)
             return 1
-        outputs[name] = proc.stdout
+        else:
+            print(f"{name}: {verdict}")
     directory.mkdir(exist_ok=True)
     for name, out in outputs.items():
         (directory / name).write_bytes(out)
@@ -73,32 +100,48 @@ def regenerate(cases, directory: Path) -> int:
 
 def check(cases, directory: Path) -> int:
     """Run every case and compare its stdout with its file in directory,
-    printing one line per case.  Returns 1 if any output differs or any case
-    exits non-zero or writes to stderr.  When numpy is not installed, a case
-    that needs it must instead exit 1 with one line on stderr and no
-    traceback; its bytes are then reported as skipped, not passed."""
-    has_numpy = find_spec("numpy") is not None
+    printing one line per case.  Returns 1 if any case fails or its output
+    differs.  A skipped case is reported as skipped, not passed."""
     failed = False
     for name, argv in cases.items():
         proc = run_cli(*argv)
-        if argv[0] in NEEDS_NUMPY and not has_numpy:
-            one_line = len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
-            if proc.returncode == 1 and one_line and not proc.stdout:
-                verdict = "skipped, numpy is not installed"
-            else:
-                verdict = f"FAILED without numpy: exit {proc.returncode}, stderr {proc.stderr!r}"
-        elif proc.returncode or proc.stderr:
-            verdict = f"FAILED: exit {proc.returncode}, stderr {proc.stderr!r}"
-        elif proc.stdout != (directory / name).read_bytes():
-            verdict = f"FAILED: output differs from {directory / name}"
-        else:
-            verdict = "ok"
+        verdict = _verdict(argv, proc)
+        if verdict is None:
+            same = proc.stdout == (directory / name).read_bytes()
+            verdict = "ok" if same else f"FAILED: output differs from {directory / name}"
         failed |= verdict.startswith("FAILED")
         print(f"{name}: {verdict}")
     return int(failed)
 
 
+def check_exit_codes(usage_error=USAGE_ERROR, long_output=LONG_OUTPUT) -> int:
+    """Hold the CLI to its exit codes, printing one line per case, and return
+    1 if either fails.  A usage error exits 2 with no stdout and no traceback,
+    its one error line last on stderr.  A reader that closes the pipe after
+    the first line of a long output leaves exit 1 and one line on stderr."""
+    proc = run_cli(*usage_error)
+    errors = [line for line in proc.stderr.splitlines() if b"error:" in line]
+    usage_ok = (
+        proc.returncode == 2
+        and not proc.stdout
+        and b"Traceback" not in proc.stderr
+        and len(errors) == 1
+        and proc.stderr.splitlines()[-1] == errors[0]
+        and errors[0].startswith(f"dualbloch {usage_error[0]}: error: ".encode())
+    )
+    _, returncode, stderr = run_cli_closing_pipe(1, *long_output)
+    pipe_ok = returncode == 1 and stderr == b"error: writing -: Broken pipe\n"
+    for name, ok, code, err in (
+        ("usage error exits 2", usage_ok, proc.returncode, proc.stderr),
+        ("closed pipe exits 1", pipe_ok, returncode, stderr),
+    ):
+        print(f"{name}: " + ("ok" if ok else f"FAILED: exit {code}, stderr {err!r}"))
+    return int(not (usage_ok and pipe_ok))
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Check or rewrite the files in tests/golden/.")
     parser.add_argument("--check", action="store_true", help="compare, and write nothing")
-    sys.exit((check if parser.parse_args().check else regenerate)(CASES, GOLDEN))
+    if parser.parse_args().check:
+        sys.exit(check(CASES, GOLDEN) | check_exit_codes())
+    sys.exit(regenerate(CASES, GOLDEN))

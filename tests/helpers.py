@@ -26,3 +26,22 @@ def run_cli(*argv):
         env=cli_env(),
         timeout=60,
     )
+
+
+def run_cli_closing_pipe(lines: int, *argv):
+    """Run the CLI in a fresh subprocess whose reader takes the first lines of
+    stdout and then closes the pipe.  Returns the lines read, the exit code
+    and stderr; a command still running 60 s later raises TimeoutExpired."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "dualbloch", *map(str, argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    ) as proc:
+        try:
+            read = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a writer that never stops must not outlive the reader
+    return read, proc.returncode, stderr

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dualbloch.bloch import (
-    NotAStateError,
-    ZeroShotsError,
     adjoint_rotation,
     bloch_vector,
     density_to_state,
@@ -24,7 +22,6 @@ from dualbloch.su2 import (
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
-    AxisNotUnitError,
     adjoint,
     compose,
     make_unitary,
@@ -89,16 +86,16 @@ def test_density_to_state_pole():
 
 
 def test_density_to_state_rejects_mixed_state():
-    with pytest.raises(NotAStateError):
+    with pytest.raises(ValueError, match="pure-state Bloch vector norm 0.0 deviates from 1"):
         density_to_state([[0.5, 0], [0, 0.5]])
 
 
 def test_density_to_state_rejects_non_hermitian_and_bad_trace():
-    with pytest.raises(NotAStateError):
+    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
         density_to_state([[1, 0.5], [0, 0]])
-    with pytest.raises(NotAStateError):
+    with pytest.raises(ValueError, match=r"density matrix trace .* must be 1"):
         density_to_state([[1, 0], [0, 0.5]])
-    with pytest.raises(NotAStateError):
+    with pytest.raises(ValueError, match="density matrix must be a finite 2x2 matrix"):
         density_to_state(np.eye(3))
 
 
@@ -155,7 +152,7 @@ def test_measure_sample_takes_only_an_integer_shot_count(shots):
 
 
 def test_measure_sample_rejects_zero_shots():
-    with pytest.raises(ZeroShotsError):
+    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
         measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=0)
 
 
@@ -345,7 +342,7 @@ def test_rodrigues_agrees_with_conjugation():
 
 
 def test_rodrigues_rejects_bad_axis():
-    with pytest.raises(AxisNotUnitError):
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
         rodrigues((0.0, 0.0, 0.0), 1.0, (0, 0, 1))
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualbloch import cli
-from helpers import cli_env, run_cli
+from helpers import cli_env, run_cli, run_cli_closing_pipe
 
 PI = math.pi
 
@@ -545,19 +545,9 @@ _HUGE = str(10**17)
 def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
     # Every output is larger than a pipe buffer, so the writer is still
     # writing when the reader goes away after the header and the first row.
-    with subprocess.Popen(
-        [sys.executable, "-m", "dualbloch", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=cli_env(),
-    ) as proc:
-        try:
-            assert proc.stdout.readline() and proc.stdout.readline()
-            proc.stdout.close()
-            _, stderr = proc.communicate(timeout=60)
-        finally:
-            proc.kill()  # a writer that never stops must not outlive the test
-    assert proc.returncode == 1
+    read, returncode, stderr = run_cli_closing_pipe(2, *argv)
+    assert all(read), read
+    assert returncode == 1
     assert stderr == b"error: writing -: Broken pipe\n"
 
 

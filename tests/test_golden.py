@@ -8,7 +8,17 @@ import pytest
 
 from dualbloch._kernel import bloch_vector, normalized, unit_axis
 
-from goldens import _GENERIC_AXIS, _GENERIC_INPUT, CASES, GOLDEN, check, regenerate
+from goldens import (
+    _GENERIC_AXIS,
+    _GENERIC_INPUT,
+    CASES,
+    GOLDEN,
+    LONG_OUTPUT,
+    USAGE_ERROR,
+    check,
+    check_exit_codes,
+    regenerate,
+)
 from helpers import run_cli
 
 
@@ -53,7 +63,7 @@ def test_check_fails_on_a_changed_byte(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize(
+_WITHOUT_NUMPY = pytest.mark.parametrize(
     "numpy_init, verdict",
     [
         ("raise ModuleNotFoundError(\"No module named 'numpy'\", name='numpy')", "skipped"),
@@ -61,19 +71,72 @@ def test_check_fails_on_a_changed_byte(tmp_path, capsys):
     ],
     ids=["missing", "broken"],
 )
-def test_check_without_numpy_wants_a_one_line_error(
-    numpy_init, verdict, tmp_path, monkeypatch, capsys
-):
+
+
+def _hide_numpy(numpy_init, tmp_path, monkeypatch):
     # A numpy package that fails on import, first on the subprocesses' path,
-    # stands in for an interpreter without numpy.  equiv-check must then exit
-    # 1 with one line; a traceback, as from the broken package, fails the check.
+    # stands in for an interpreter without numpy.
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text(numpy_init + "\n")
     monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     monkeypatch.setattr("goldens.find_spec", lambda name: None)
+
+
+@_WITHOUT_NUMPY
+def test_check_without_numpy_wants_a_one_line_error(
+    numpy_init, verdict, tmp_path, monkeypatch, capsys
+):
+    # equiv-check must then exit 1 with one line; a traceback, as from the
+    # broken package, fails the check.
+    _hide_numpy(numpy_init, tmp_path, monkeypatch)
     cases = {name: CASES[name] for name in ("equiv-check.txt", "self-ref-sweep.csv")}
     assert regenerate({"self-ref-sweep.csv": CASES["self-ref-sweep.csv"]}, tmp_path) == 0
     assert check(cases, tmp_path) == (verdict != "skipped")
     first, second = capsys.readouterr().out.splitlines()
     assert first.startswith(f"equiv-check.txt: {verdict}")
     assert second == "self-ref-sweep.csv: ok"
+
+
+@_WITHOUT_NUMPY
+def test_regenerate_without_numpy_leaves_only_that_file_alone(
+    numpy_init, verdict, tmp_path, monkeypatch
+):
+    # Without numpy the numpy-free files are still rewritten, as long as
+    # equiv-check fails in one line; a traceback writes nothing.
+    _hide_numpy(numpy_init, tmp_path, monkeypatch)
+    out = tmp_path / "golden"
+    out.mkdir()
+    (out / "equiv-check.txt").write_bytes(b"kept")
+    cases = {name: CASES[name] for name in ("equiv-check.txt", "self-ref-sweep.csv")}
+    assert regenerate(cases, out) == (verdict != "skipped")
+    assert (out / "equiv-check.txt").read_bytes() == b"kept"
+    written = sorted(path.name for path in out.iterdir())
+    if verdict == "skipped":
+        assert written == ["equiv-check.txt", "self-ref-sweep.csv"]
+        golden = (GOLDEN / "self-ref-sweep.csv").read_bytes()
+        assert (out / "self-ref-sweep.csv").read_bytes() == golden
+    else:
+        assert written == ["equiv-check.txt"]
+
+
+_VALID = ("self-ref-sweep", "--theta-steps", "2", "--delta-steps", "2")
+
+
+@pytest.mark.parametrize(
+    "usage_error, long_output, verdicts",
+    [
+        (USAGE_ERROR, LONG_OUTPUT, ["ok", "ok"]),
+        (_VALID, LONG_OUTPUT, ["FAILED: exit 0", "ok"]),
+        (USAGE_ERROR, USAGE_ERROR, ["ok", "FAILED: exit 2"]),
+    ],
+    ids=["contract", "no-usage-error", "no-output"],
+)
+def test_check_exit_codes(usage_error, long_output, verdicts, capsys):
+    assert check_exit_codes(usage_error, long_output) == (verdicts != ["ok", "ok"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == [
+        "usage error exits 2",
+        "closed pipe exits 1",
+    ]
+    for line, verdict in zip(lines, verdicts):
+        assert line.split(": ", 1)[1].startswith(verdict), line

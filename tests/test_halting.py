@@ -16,14 +16,13 @@ from dualbloch.bloch import (
 from dualbloch.halting import (
     HALT_POLE,
     HaltingMachine,
-    UnsupportedPictureError,
     discrepancy_closed_form,
     is_fixed_point,
     run,
     self_reference,
 )
 from dualbloch.pictures import EvolutionSpec, Picture, trajectory
-from dualbloch.su2 import AxisNotUnitError, make_unitary
+from dualbloch.su2 import make_unitary
 
 from matrices import near_unit_vector
 
@@ -98,7 +97,7 @@ def test_every_rebuild_of_a_validated_record_validates(cls, rebuild):
     # A record that skipped validation (tuple.__new__ is the only way to
     # make one) is checked again by every way of rebuilding it.
     unchecked = tuple.__new__(cls, ((2.0, 0.0, 0.0), *valid[1:]))
-    with pytest.raises(AxisNotUnitError, match="axis norm 2.0"):
+    with pytest.raises(ValueError, match="axis norm 2.0"):
         _REBUILDS[rebuild](unchecked)
 
 
@@ -116,11 +115,11 @@ def test_stored_vectors_and_run_pass_throughs_are_read_only():
 
 
 def test_machine_validates_inputs():
-    with pytest.raises(AxisNotUnitError):
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
         HaltingMachine(axis=(0, 0, 0), angle=1.0, system=Z_AXIS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="angle must be finite"):
         HaltingMachine(axis=Y_AXIS, angle=math.inf, system=Z_AXIS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Bloch vector norm 3.0 deviates from 1"):
         HaltingMachine(axis=Y_AXIS, angle=1.0, system=(0, 0, 3))
 
 
@@ -171,9 +170,9 @@ def test_run_outputs_are_the_public_transports_bit_for_bit():
 
 def test_run_rejects_the_reversed_picture():
     m = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS)
-    with pytest.raises(UnsupportedPictureError):
+    with pytest.raises(ValueError, match="supports schrodinger and heisenberg only"):
         run(m, Picture.HEISENBERG_REVERSED)
-    with pytest.raises(UnsupportedPictureError):
+    with pytest.raises(ValueError, match="supports schrodinger and heisenberg only"):
         run(m, "schrodinger")
 
 
@@ -241,7 +240,7 @@ def test_self_reference_full_turn_of_pi_agrees():
 
 
 def test_self_reference_rejects_bad_axis():
-    with pytest.raises(AxisNotUnitError):
+    with pytest.raises(ValueError, match="axis norm 0.2 deviates from 1"):
         self_reference((0.0, 0.2, 0.0), 1.0, Z_AXIS)
 
 

@@ -7,16 +7,13 @@ from dualbloch import pictures
 from dualbloch.bloch import expectation, random_unit_vector, rotate_observable, rotate_state
 from dualbloch.halting import HaltingMachine
 from dualbloch.pictures import (
-    BadRangeError,
-    EmptyGridError,
     EvolutionSpec,
     Picture,
-    TooFewStepsError,
     evolve,
     reversed_label_equivalence,
     trajectory,
 )
-from dualbloch.su2 import AxisNotUnitError, adjoint, make_unitary
+from dualbloch.su2 import adjoint, make_unitary
 
 from matrices import near_unit_vector
 
@@ -114,14 +111,14 @@ def test_trajectory_two_steps_is_just_the_endpoints():
 
 
 def test_trajectory_rejects_bad_grids():
-    with pytest.raises(TooFewStepsError):
+    with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
         trajectory(SCHRO, Z, 0.0, 1.0, 1)
-    with pytest.raises(BadRangeError):
+    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[1.0, 1.0\]"):
         trajectory(SCHRO, Z, 1.0, 1.0, 5)
-    with pytest.raises(BadRangeError):
+    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[2.0, 1.0\]"):
         trajectory(SCHRO, Z, 2.0, 1.0, 5)
     # Each bound is finite, but t_end - t_start overflows to inf.
-    with pytest.raises(BadRangeError, match="finite width"):
+    with pytest.raises(ValueError, match="finite width"):
         trajectory(SCHRO, Z, -1e308, 1e308, 5)
     # A step count must be an integer, not truncated to one.
     with pytest.raises(TypeError):
@@ -144,11 +141,11 @@ def test_trajectory_checks_everything_before_it_returns():
 
 
 def test_evolution_spec_validates_inputs():
-    with pytest.raises(AxisNotUnitError):
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
         EvolutionSpec((0.0, 0.0, 0.0), 1.0, Picture.SCHRODINGER)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate must be finite"):
         EvolutionSpec(Y_AXIS, math.nan, Picture.SCHRODINGER)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="picture must be a Picture"):
         EvolutionSpec(Y_AXIS, 1.0, "schrodinger")
 
 
@@ -166,7 +163,7 @@ def test_a_replaced_axis_is_the_one_evolve_rotates_about():
     assert spec._fields == ("axis", "rate", "picture")
     assert spec == EvolutionSpec((1.0, 0.0, 0.0)) and "_unit" not in repr(spec)
     # A replacement is checked like a construction, with the same error.
-    with pytest.raises(AxisNotUnitError, match="axis norm 2.0"):
+    with pytest.raises(ValueError, match="^axis norm 2.0 deviates from 1 by 1$"):
         SCHRO._replace(axis=(2, 0, 0))
     machine = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z)
     with pytest.raises(ValueError, match="^angle must be finite$"):
@@ -260,5 +257,5 @@ def test_reversed_label_equivalence_detects_a_wrong_picture(monkeypatch):
 
 
 def test_reversed_label_equivalence_rejects_empty_grid():
-    with pytest.raises(EmptyGridError):
+    with pytest.raises(ValueError, match="time grid must be non-empty"):
         reversed_label_equivalence(Y_AXIS, 1.0, Z, [])
