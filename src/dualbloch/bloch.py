@@ -55,7 +55,6 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p_plus = 0.5 * (1.0 + expectation(e, v))
-    p_plus = min(1.0, max(0.0, p_plus))
     rng = np.random.default_rng(rng_seed)
     return np.where(rng.random(shots) < p_plus, 1, -1)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
 REAL = ".17g"  # 17 significant digits round-trip any double losslessly
+_BLOCK = 1024  # lines per write call: PYTHONUNBUFFERED=1 writes through on each call
 # Every negative value float() reads: argparse's own pattern knows only plain
 # decimals and takes "-1e-3", "-inf" or "-nan" for an option string.
 NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -86,14 +88,18 @@ def _lines(fmt: str, fields: dict[str, str], rows):
 
 
 def _write(path: str, lines) -> int:
-    """Write lines to path ('-' for stdout).  Returns the exit code: 0, or 1
-    after reporting an I/O error."""
+    """Write lines to path ('-' for stdout), _BLOCK lines per write call.
+    Returns the exit code: 0, or 1 after reporting an I/O error."""
+    lines = iter(lines)
     try:
         with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
-            out.writelines(lines)
+            if out is None:  # Python's stdout when fd 1 was closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            while block := "".join(itertools.islice(lines, _BLOCK)):
+                out.write(block)
             out.flush()
     except OSError as exc:
-        if path == "-":
+        if path == "-" and sys.stdout is not None:
             # Point stdout at devnull so the flush at exit cannot fail again
             # (the "Note on SIGPIPE" in the documentation of module signal).
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -248,7 +254,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

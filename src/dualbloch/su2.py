@@ -27,14 +27,6 @@ for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
 del _m
 
 
-def pauli(which: str) -> np.ndarray:
-    """Return sigma_x, sigma_y or sigma_z by axis name ('x', 'y' or 'z')."""
-    try:
-        return {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[which].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {which!r}, expected 'x', 'y' or 'z'") from None
-
-
 def make_unitary(axis, angle: float) -> np.ndarray:
     """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
     a, b, c, d = _entries(unit_axis(axis), angle)

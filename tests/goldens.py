@@ -9,7 +9,8 @@ A change to any of these bytes must be deliberate.  Without numpy the
 equiv-check case has no bytes: once the command has exited 1 with a one-line
 error and no traceback, the check reports them as skipped and a rewrite
 leaves that file alone.  The check also holds the CLI to its exit codes on
-two commands that need no numpy: a usage error and a reader that goes away.
+commands that need no numpy: a usage error, a reader that goes away and a
+closed stdout.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 from importlib.util import find_spec
 from pathlib import Path
 
-from helpers import run_cli, run_cli_closing_pipe
+from helpers import run_cli, run_cli_closing_pipe, run_cli_without_stdout
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,6 +63,7 @@ LONG_OUTPUT = (
     "trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0", "1",
     "--t-start", "0", "--t-end", "1", "--steps", "1000000",
 )  # fmt: skip
+SHORT_OUTPUT = CASES["self-ref-sweep.csv"]
 
 
 def _verdict(argv, proc) -> str | None:
@@ -114,11 +116,14 @@ def check(cases, directory: Path) -> int:
     return int(failed)
 
 
-def check_exit_codes(usage_error=USAGE_ERROR, long_output=LONG_OUTPUT) -> int:
+def check_exit_codes(
+    usage_error=USAGE_ERROR, long_output=LONG_OUTPUT, short_output=SHORT_OUTPUT
+) -> int:
     """Hold the CLI to its exit codes, printing one line per case, and return
-    1 if either fails.  A usage error exits 2 with no stdout and no traceback,
+    1 if any fails.  A usage error exits 2 with no stdout and no traceback,
     its one error line last on stderr.  A reader that closes the pipe after
-    the first line of a long output leaves exit 1 and one line on stderr."""
+    the first line of a long output leaves exit 1 and one line on stderr, and
+    so does a command started with fd 1 closed."""
     proc = run_cli(*usage_error)
     errors = [line for line in proc.stderr.splitlines() if b"error:" in line]
     usage_ok = (
@@ -131,12 +136,17 @@ def check_exit_codes(usage_error=USAGE_ERROR, long_output=LONG_OUTPUT) -> int:
     )
     _, returncode, stderr = run_cli_closing_pipe(1, *long_output)
     pipe_ok = returncode == 1 and stderr == b"error: writing -: Broken pipe\n"
+    closed = run_cli_without_stdout(*short_output)
+    closed_ok = (
+        closed.returncode == 1 and closed.stderr == b"error: writing -: Bad file descriptor\n"
+    )
     for name, ok, code, err in (
         ("usage error exits 2", usage_ok, proc.returncode, proc.stderr),
         ("closed pipe exits 1", pipe_ok, returncode, stderr),
+        ("closed stdout exits 1", closed_ok, closed.returncode, closed.stderr),
     ):
         print(f"{name}: " + ("ok" if ok else f"FAILED: exit {code}, stderr {err!r}"))
-    return int(not (usage_ok and pipe_ok))
+    return int(not (usage_ok and pipe_ok and closed_ok))
 
 
 if __name__ == "__main__":

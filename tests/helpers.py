@@ -28,6 +28,17 @@ def run_cli(*argv):
     )
 
 
+def run_cli_without_stdout(*argv):
+    """Run the CLI in a fresh subprocess started with fd 1 closed, as by
+    `dualbloch ... >&-` in a POSIX shell; stderr comes back as bytes."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dualbloch", *map(str, argv)],
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+        timeout=60,
+    )
+
+
 def run_cli_closing_pipe(lines: int, *argv):
     """Run the CLI in a fresh subprocess whose reader takes the first lines of
     stdout and then closes the pipe.  Returns the lines read, the exit code

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualbloch import cli
-from helpers import cli_env, run_cli, run_cli_closing_pipe
+from helpers import cli_env, run_cli, run_cli_closing_pipe, run_cli_without_stdout
 
 PI = math.pi
 
@@ -572,6 +572,54 @@ def test_closed_pipe_exits_1_without_traceback(argv):
         os.close(w)
     assert proc.returncode == 1
     assert proc.stderr == b"error: writing -: Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("equiv-check", "--trials", "3", "--seed", "1"),
+        ("halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
+         "--picture", "heisenberg"),
+        ("self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"),
+        ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
+         "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1", "--steps", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)  # fmt: skip
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # With fd 1 closed at start-up Python sets sys.stdout to None.
+    proc = run_cli_without_stdout(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: writing -: Bad file descriptor\n"
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps the bytes it is given and counts the write calls."""
+
+    def __init__(self):
+        self.data, self.writes = bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def test_write_through_stdout_gets_rows_in_blocks():
+    # Under PYTHONUNBUFFERED=1 sys.stdout is this: text written through to the
+    # raw file on each call, so a call per row would be a system call per row.
+    argv = ["trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
+            "--input", "1", "0", "0", "--t-start", "0", "--t-end", "1", "--steps", "20000",
+            "--format", "jsonl"]  # fmt: skip
+    raw = _CountingRaw()
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
+        assert cli.main(argv) == 0
+    assert raw.data == run_cli(*argv).stdout
+    assert raw.data.count(b"\n") == 20_000
+    assert raw.writes <= 100
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -14,7 +14,6 @@ from dualbloch.su2 import (
     adjoint,
     compose,
     make_unitary,
-    pauli,
     unit_axis,
 )
 
@@ -40,20 +39,9 @@ axes = (
 
 
 def test_pauli_entries_exact():
-    assert np.array_equal(pauli("x"), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]], dtype=complex))
-    assert np.array_equal(pauli("z"), np.array([[1, 0], [0, -1]], dtype=complex))
-
-
-def test_pauli_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        pauli("w")
-
-
-def test_pauli_returns_writable_copy():
-    p = pauli("x")
-    p[0, 0] = 99.0
-    assert SIGMA_X[0, 0] == 0.0
+    assert np.array_equal(SIGMA_X, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(SIGMA_Y, np.array([[0, -1j], [1j, 0]], dtype=complex))
+    assert np.array_equal(SIGMA_Z, np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def test_module_constants_are_immutable():
