@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
+import threading
 from collections.abc import Iterator
 
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
+_SO3_MEMO_SIZE = 1024  # rotations _so3 keeps, ~0.44 MB when full
+
+_so3_memo: dict[bytes, tuple[float, ...]] = {}
+_so3_key = struct.Struct("4d").pack
+_so3_lock = threading.Lock()  # makes the size check and the insert one step
 
 
 def _finite(value, name: str) -> float:
@@ -118,6 +125,25 @@ def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ..
         -(p + q).imag, (p - q).real, -x.imag,
         y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
     )  # fmt: skip
+
+
+def _so3(axis, angle) -> tuple[float, ...]:
+    """_rotation(*_entries(axis, angle)) for an axis that unit_axis returned,
+    remembered for the first _SO3_MEMO_SIZE distinct inputs; later ones are
+    computed and not kept.  Keeping the first entries, not the latest, makes
+    every row of a row-major sweep hit however long it is.  The key is the
+    exact bits of the axis and the angle: ==, which has -0.0 == 0.0, would
+    hand one sign of zero the matrix whose bits belong to the other.
+    """
+    angle = _finite(angle, "angle")
+    key = _so3_key(*axis, angle)
+    r = _so3_memo.get(key)
+    if r is None:
+        r = _rotation(*_entries(axis, angle))
+        with _so3_lock:
+            if len(_so3_memo) < _SO3_MEMO_SIZE:
+                _so3_memo[key] = r
+    return r
 
 
 def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: bool):

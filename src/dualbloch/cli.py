@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import errno
 import itertools
-import json
 import math
 import os
 import re
@@ -135,6 +134,8 @@ def cmd_equiv_check(args) -> int:
 
 
 def cmd_halting_demo(args) -> int:
+    import json  # the only command that needs it; the others start without it
+
     delta = math.radians(args.delta) if args.degrees else args.delta
     machine = HaltingMachine(axis=args.axis, angle=delta, system=args.system)
     report = run(machine, Picture(args.picture))

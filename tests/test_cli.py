@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import cli
+from dualbloch import _kernel, cli
 from helpers import cli_env, run_cli, run_cli_closing_pipe, run_cli_without_stdout
 
 PI = math.pi
@@ -61,29 +61,30 @@ _NUMPY_FREE = """
 import contextlib, io, sys
 from dualbloch.cli import build_parser, main
 
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
 sweep = ["self-ref-sweep", "--theta-steps", "5", "--delta-steps", "5"]
 build_parser().parse_args(sweep)  # the benchmark's set-up line
-for argv in (
-    sweep,
-    ["trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
-     "--input", "1", "0", "0", "--t-start", "0", "--t-end", "3", "--steps", "5"],
-    ["halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
-     "--picture", "schrodinger"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-print(*(m in sys.modules for m in ("numpy", "dataclasses", "inspect")))
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    assert main(["equiv-check", "--trials", "10", "--seed", "1"]) == 0
-print("PASS" in out.getvalue(), "numpy" in sys.modules)
+run(sweep)
+run(["trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
+     "--input", "1", "0", "0", "--t-start", "0", "--t-end", "3", "--steps", "5"])
+print("json" in sys.modules)
+run(["halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
+     "--picture", "schrodinger"])
+print(*(m in sys.modules for m in ("numpy", "dataclasses", "inspect", "json")))
+print("PASS" in run(["equiv-check", "--trials", "10", "--seed", "1"]), "numpy" in sys.modules)
 """
 
 
 def test_only_equiv_check_loads_numpy():
-    # The numpy-free commands load neither dataclasses nor, through it, inspect.
+    # The numpy-free commands load neither dataclasses nor, through it,
+    # inspect, and only halting-demo loads json.
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE], capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False False False\nTrue True\n"
+    assert proc.stdout == b"False\nFalse False False True\nTrue True\n"
 
 
 # ---------------------------------------------------------------- equiv-check
@@ -339,17 +340,31 @@ def test_sweep_output_file_matches_stdout(tmp_path):
     assert target.read_bytes() == to_stdout.stdout
 
 
-def test_sweep_streams_its_rows(tmp_path):
-    # Rows go out as they are computed: memory stays flat in the grid size.
-    argv = ["self-ref-sweep", "--theta-steps", "201", "--delta-steps", "201",
-            "--output", str(tmp_path / "sweep.csv")]  # fmt: skip
+def _sweep_peak(tmp_path, theta_steps: int, delta_steps: int) -> int:
+    """tracemalloc's peak over an in-process sweep to a file, from an empty
+    memo of rotations."""
+    _kernel._so3_memo.clear()
+    argv = ["self-ref-sweep", "--theta-steps", str(theta_steps),
+            "--delta-steps", str(delta_steps), "--output", str(tmp_path / "sweep.csv")]  # fmt: skip
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "sweep.csv").read_bytes().count(b"\n") == 1 + 201 * 201
+    assert (tmp_path / "sweep.csv").read_bytes().count(b"\n") == 1 + theta_steps * delta_steps
+    return peak
+
+
+def test_sweep_streams_its_rows(tmp_path):
+    # Rows go out as they are computed: memory stays flat in the grid size.
+    assert _sweep_peak(tmp_path, 201, 201) < 1_000_000
+
+
+def test_a_sweep_wider_than_the_rotation_memo_stays_flat(tmp_path):
+    # self_reference's memo stops at its bound, so deltas past it add nothing.
+    peak = _sweep_peak(tmp_path, 3, _kernel._SO3_MEMO_SIZE + 50)
+    assert len(_kernel._so3_memo) == _kernel._SO3_MEMO_SIZE
     assert peak < 1_000_000
 
 

@@ -1,16 +1,20 @@
 import contextlib
+import io
+import itertools
 import math
+import struct
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import _kernel, bloch, halting, pictures, su2
+from dualbloch import _kernel, bloch, cli, halting, pictures, su2
 from dualbloch._kernel import _linspace
 from helpers import cli_env
 
@@ -160,6 +164,13 @@ _REJECTED = {
     "grid": (
         lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), []),
         "time grid must be non-empty",
+    ),
+    "self_reference-angle": (
+        lambda: halting.self_reference(_AXIS, math.inf, (0, 0, 1)), "angle must be finite"
+    ),
+    "self_reference-axis-first": (
+        lambda: halting.self_reference((2.0, 0.0, 0.0), math.inf, (0, 0, 1)),
+        "axis norm 2.0 deviates from 1 by 1",
     ),
     "picture": (
         lambda: halting.run(_Z_MACHINE, pictures.Picture.HEISENBERG_REVERSED),
@@ -333,3 +344,116 @@ def test_none_is_rejected_in_a_fresh_interpreter():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+
+
+# ------------------------------------------------------- self_reference's memo
+
+_CORNERS = [  # each coordinate axis, with each sign of its 1 and of its two zeros
+    tuple(one if j == i else zeros[j - (j > i)] for j in range(3))
+    for i in range(3)
+    for one in (1.0, -1.0)
+    for zeros in itertools.product((0.0, -0.0), repeat=2)
+]
+_directions = st.sampled_from(_CORNERS) | _near_unit
+_angles = (
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(10**6), 10**6)
+    | st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
+    | st.floats(-1e3, 1e3).map(np.float64)
+)
+
+
+def _outputs_bits(schrodinger, heisenberg) -> bytes:
+    return struct.pack("6d", *schrodinger, *heisenberg)
+
+
+def _fresh_outputs_bits(axis, angle, basis) -> bytes:
+    """The bits of self_reference's two outputs, from a rotation built afresh."""
+    r = _kernel._rotation(*_kernel._entries(su2.unit_axis(axis), float(angle)))
+    basis = bloch.bloch_vector(basis)
+    return _outputs_bits(_kernel._transport(r, basis, False), _kernel._transport(r, basis, True))
+
+
+def _counting_rotation(monkeypatch, *modules):
+    """A list that gets the entries of each SO(3) matrix the modules build."""
+    built = []
+    rotation = _kernel._rotation
+    for module in modules:
+        monkeypatch.setattr(module, "_rotation", lambda *u: built.append(u) or rotation(*u))
+    return built
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=_directions, angle=_angles, basis=_directions)
+@example(axis=(1.0, 0.0, -0.0), angle=0.0, basis=(1.0, -0.0, 0.0))
+def test_self_reference_returns_the_bits_of_a_rotation_built_afresh(axis, angle, basis):
+    # With every zero made +0.0 first: a memo keyed on ==, where -0.0 == 0.0,
+    # would hand the drawn signs the +0.0 matrix, whose bits can differ.
+    _kernel._so3_memo.clear()
+    plus = (tuple(c if c else 0.0 for c in axis), angle if angle else 0.0)
+    for axis, angle in (plus, (axis, angle)):
+        fresh = _fresh_outputs_bits(axis, angle, basis)
+        for _ in range(2):  # a first call, then a repeated one
+            report = halting.self_reference(axis, angle, basis)
+            assert _outputs_bits(report.schrodinger_output, report.heisenberg_output) == fresh
+
+
+@pytest.mark.parametrize("delta_steps", [2, 7])
+def test_a_sweep_builds_each_delta_rotation_once(monkeypatch, delta_steps):
+    _kernel._so3_memo.clear()
+    built = _counting_rotation(monkeypatch, _kernel, halting)
+    argv = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", str(delta_steps)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(built) == delta_steps
+
+
+def test_the_memo_keeps_its_first_entries_and_no_more(monkeypatch):
+    # Not the latest: a row-major sweep asks for its deltas in the same order
+    # on every row, so a memo that kept the latest would miss every one.
+    _kernel._so3_memo.clear()
+    size = _kernel._SO3_MEMO_SIZE
+    for k in range(size + 10):
+        halting.self_reference(_AXIS, float(k), (0, 0, 1))
+    assert len(_kernel._so3_memo) == size
+    built = _counting_rotation(monkeypatch, _kernel)
+    for k in (0, size - 1, size, size + 20):
+        halting.self_reference(_AXIS, float(k), (0, 0, 1))
+    assert len(built) == 2  # size and size + 20
+    assert len(_kernel._so3_memo) == size
+
+
+def test_threads_never_push_the_memo_past_its_bound():
+    _kernel._so3_memo.clear()
+    size = _kernel._SO3_MEMO_SIZE
+
+    def fill(start):
+        for k in range(start, start + size):
+            halting.self_reference(_AXIS, float(k), (0, 0, 1))
+
+    threads = [threading.Thread(target=fill, args=(i * size,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(_kernel._so3_memo) == size
+
+
+def test_only_self_reference_fills_the_memo():
+    _kernel._so3_memo.clear()
+    for picture in (pictures.Picture.SCHRODINGER, pictures.Picture.HEISENBERG):
+        halting.run(_Z_MACHINE, picture)
+    for picture in pictures.Picture:
+        spec = pictures.EvolutionSpec(_AXIS, 1.0, picture)
+        pictures.evolve(spec, (0, 0, 1), 0.5)
+        list(pictures.trajectory(spec, (0, 0, 1), 0.0, 1.0, 5))
+    assert not _kernel._so3_memo
+    halting.self_reference(_AXIS, 0.5, (0, 0, 1))
+    assert len(_kernel._so3_memo) == 1
