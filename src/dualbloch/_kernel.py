@@ -10,11 +10,10 @@ a vector twice gives the bits of checking it once.
 
 from __future__ import annotations
 
+import _thread
 import math
-import numbers
 import struct
 import sys
-import threading
 from collections.abc import Iterator
 
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
@@ -22,7 +21,8 @@ _SO3_MEMO_SIZE = 1024  # rotations _so3 keeps, ~0.44 MB when full
 
 _so3_memo: dict[bytes, tuple[float, ...]] = {}
 _so3_key = struct.Struct("4d").pack
-_so3_lock = threading.Lock()  # makes the size check and the insert one step
+# The type threading.Lock returns, without importing threading at start-up.
+_so3_lock = _thread.allocate_lock()  # makes the size check and the insert one step
 
 
 def _finite(value, name: str) -> float:
@@ -47,15 +47,18 @@ def _unit3(components, name: str, slack: float | None) -> tuple[float, float, fl
     non-finite input or a true norm beyond the largest float, and only then
     are the components inspected.
     """
-    shape = getattr(components, "shape", None)
-    if shape is not None:
-        if shape != (3,):
-            raise ValueError(f"{name} must be a 3-vector, got shape {shape}")
-        components = components.tolist()
-    elif not isinstance(components, (list, tuple)) or len(components) != 3:
-        raise ValueError(f"{name} must be a 3-vector, got {components!r:.40}")
+    if not (type(components) is tuple and len(components) == 3):  # what validators return
+        shape = getattr(components, "shape", None)  # a tuple subclass comes here too
+        if shape is not None:
+            if shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got shape {shape}")
+            components = components.tolist()
+        elif not isinstance(components, (list, tuple)) or len(components) != 3:
+            raise ValueError(f"{name} must be a 3-vector, got {components!r:.40}")
     x, y, z = components
     if not (type(x) is float and type(y) is float and type(z) is float):
+        import numbers  # only components that are not floats need it
+
         if not all(isinstance(c, numbers.Real) for c in components):
             raise ValueError(f"{name} must be a 3-vector of real numbers")
         x, y, z = (_finite(c, f"{name} components") for c in components)
@@ -113,17 +116,23 @@ def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
 def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ...]:
     """The nine entries, row by row, of the SO(3) matrix of [[a, b], [c, d]].
 
-    These are the traces Tr(sigma_i u sigma_j u+) / 2, expanded on the
-    entries of u.
+    These are the traces Tr(sigma_i u sigma_j u+) / 2, expanded on the real
+    and imaginary parts of the entries of u.  Each entry below the diagonal
+    mirrors the one above it term by term, so for u in SU(2) (|b| = |c|) the
+    matrix of u+ is the transpose bit for bit, signs of zero included.  With
+    a libm whose cos is even and sin odd, the Heisenberg picture at -t then
+    has the bits of the Schrodinger picture at t.  Products of the complex
+    entries give the same nonzero bits, but can flip the sign of a zero.
     """
-    p = a * d.conjugate()
-    q = b * c.conjugate()
-    x = a * c.conjugate() - b * d.conjugate()
-    y = a * b.conjugate() - c * d.conjugate()
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    re_ad = ar * dr + ai * di  # the real part of a d*
+    re_bc = br * cr + bi * ci
+    im_bc = bi * cr - br * ci
     return (
-        (p + q).real, (p - q).imag, x.real,
-        -(p + q).imag, (p - q).real, -x.imag,
-        y.real, y.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
+        re_ad + re_bc, (ai * dr - ar * di) - im_bc, (ar * cr + ai * ci) - (br * dr + bi * di),
+        (ar * di - ai * dr) - im_bc, re_ad - re_bc, (ar * ci - ai * cr) - (br * di - bi * dr),
+        (ar * br + ai * bi) - (cr * dr + ci * di), (ai * br - ar * bi) - (ci * dr - cr * di),
+        0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
     )  # fmt: skip
 
 

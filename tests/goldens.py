@@ -9,16 +9,17 @@ A change to any of these bytes must be deliberate.  Without numpy the
 equiv-check case has no bytes: once the command has exited 1 with a one-line
 error and no traceback, the check reports them as skipped and a rewrite
 leaves that file alone.  The check also holds the CLI to its exit codes on
-commands that need no numpy: a usage error, a reader that goes away and a
-closed stdout.
+commands that need no numpy: a usage error, a reader that goes away, a
+closed stdout and Ctrl-C (this last case needs POSIX signals).
 """
 
 import argparse
+import signal
 import sys
 from importlib.util import find_spec
 from pathlib import Path
 
-from helpers import run_cli, run_cli_closing_pipe, run_cli_without_stdout
+from helpers import run_cli, run_cli_closing_pipe, run_cli_interrupted, run_cli_without_stdout
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -123,7 +124,8 @@ def check_exit_codes(
     1 if any fails.  A usage error exits 2 with no stdout and no traceback,
     its one error line last on stderr.  A reader that closes the pipe after
     the first line of a long output leaves exit 1 and one line on stderr, and
-    so does a command started with fd 1 closed."""
+    so does a command started with fd 1 closed.  SIGINT after that first line
+    ends the process by SIGINT, with one line on stderr and no traceback."""
     proc = run_cli(*usage_error)
     errors = [line for line in proc.stderr.splitlines() if b"error:" in line]
     usage_ok = (
@@ -140,13 +142,18 @@ def check_exit_codes(
     closed_ok = (
         closed.returncode == 1 and closed.stderr == b"error: writing -: Bad file descriptor\n"
     )
+    first, interrupted, interrupt_err = run_cli_interrupted(*long_output)
+    interrupt_ok = (
+        bool(first) and interrupted == -signal.SIGINT and interrupt_err == b"error: interrupted\n"
+    )
     for name, ok, code, err in (
         ("usage error exits 2", usage_ok, proc.returncode, proc.stderr),
         ("closed pipe exits 1", pipe_ok, returncode, stderr),
         ("closed stdout exits 1", closed_ok, closed.returncode, closed.stderr),
+        ("interrupt exits by SIGINT", interrupt_ok, interrupted, interrupt_err),
     ):
         print(f"{name}: " + ("ok" if ok else f"FAILED: exit {code}, stderr {err!r}"))
-    return int(not (usage_ok and pipe_ok and closed_ok))
+    return int(not (usage_ok and pipe_ok and closed_ok and interrupt_ok))
 
 
 if __name__ == "__main__":

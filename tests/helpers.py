@@ -2,6 +2,7 @@
 check (tests/goldens.py) runs on an interpreter without numpy or pytest."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +57,26 @@ def run_cli_closing_pipe(lines: int, *argv):
         finally:
             proc.kill()  # a writer that never stops must not outlive the reader
     return read, proc.returncode, stderr
+
+
+def run_cli_interrupted(*argv):
+    """Run the CLI in a fresh subprocess and send it SIGINT, as Ctrl-C in a
+    terminal does, once it has written its first line.  Returns that line,
+    the exit code and stderr.  POSIX only.  The child starts with SIGINT at
+    its default action even where this process ignores it (as a background
+    job does): Python raises KeyboardInterrupt only if SIGINT was not ignored
+    at start-up."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "dualbloch", *map(str, argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a writer that outlives the signal must not outlive the check
+    return first, proc.returncode, stderr

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualbloch import _kernel, cli
-from helpers import cli_env, run_cli, run_cli_closing_pipe, run_cli_without_stdout
+from helpers import (
+    cli_env,
+    run_cli,
+    run_cli_closing_pipe,
+    run_cli_interrupted,
+    run_cli_without_stdout,
+)
 
 PI = math.pi
 
@@ -87,7 +94,63 @@ def test_only_equiv_check_loads_numpy():
     assert proc.stdout == b"False\nFalse False False True\nTrue True\n"
 
 
+_COLD_START = """
+import contextlib, io, sys
+from dualbloch.cli import main
+
+for argv in (
+    ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"],
+    ["trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
+     "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1", "--steps", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(*(m in sys.modules for m in ("threading", "numbers", "signal")))
+"""
+
+
+def test_the_numpy_free_commands_import_no_threading_numbers_or_signal():
+    # Under -S, since a site hook may import them first: the rotation memo's
+    # lock comes from _thread, numbers serves only components that are not
+    # floats, and signal only an interrupted run.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_START], capture_output=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False False False\n"
+
+
 # ---------------------------------------------------------------- equiv-check
+
+_BLAS_THREADS = """
+import contextlib, io, os, re
+from dualbloch.cli import main
+
+before = dict(os.environ)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["equiv-check", "--trials", "1", "--seed", "1"]) == 0
+with open("/proc/self/status") as status:
+    print(re.search(r"Threads:\\s+(\\d+)", status.read())[1])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_equiv_check_loads_numpy_without_a_blas_thread_pool(preset):
+    # OpenBLAS starts its threads as numpy loads, one per core unless an
+    # environment variable says otherwise.  The command makes no BLAS call,
+    # so it loads numpy with one thread and then puts back the caller's
+    # setting, or its absence.
+    env = cli_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"1\n{preset} True\n".encode()
+
 
 
 def test_equiv_check_passes_and_reports():
@@ -101,8 +164,9 @@ def test_equiv_check_passes_and_reports():
 
 def test_equiv_check_without_numpy_says_so_in_one_line():
     code = (
-        "import sys; sys.modules['numpy'] = None; from dualbloch.cli import main; "
-        "sys.exit(main(['equiv-check', '--trials', '1', '--seed', '1']))"
+        "import os, sys; sys.modules['numpy'] = None; from dualbloch.cli import main; "
+        "before = dict(os.environ); code = main(['equiv-check', '--trials', '1', '--seed', '1']); "
+        "assert dict(os.environ) == before; sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
     assert proc.returncode == 1
@@ -606,6 +670,17 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     proc = run_cli_without_stdout(*argv)
     assert proc.returncode == 1
     assert proc.stderr == b"error: writing -: Bad file descriptor\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_ctrl_c_ends_a_run_by_sigint_without_traceback():
+    # The wait status still says "killed by SIGINT", so a shell script stops.
+    argv = ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0",
+            "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE)  # fmt: skip
+    first, returncode, stderr = run_cli_interrupted(*argv)
+    assert first == b"time_label,vx,vy,vz\n"
+    assert returncode == -signal.SIGINT
+    assert stderr == b"error: interrupted\n"
 
 
 class _CountingRaw(io.RawIOBase):

@@ -126,21 +126,22 @@ _VALID = ("self-ref-sweep", "--theta-steps", "2", "--delta-steps", "2")
 @pytest.mark.parametrize(
     "usage_error, long_output, short_output, verdicts",
     [
-        (USAGE_ERROR, LONG_OUTPUT, SHORT_OUTPUT, ["ok", "ok", "ok"]),
-        (_VALID, LONG_OUTPUT, SHORT_OUTPUT, ["FAILED: exit 0", "ok", "ok"]),
-        (USAGE_ERROR, USAGE_ERROR, SHORT_OUTPUT, ["ok", "FAILED: exit 2", "ok"]),
-        (USAGE_ERROR, LONG_OUTPUT, USAGE_ERROR, ["ok", "ok", "FAILED: exit 2"]),
+        (USAGE_ERROR, LONG_OUTPUT, SHORT_OUTPUT, ["ok", "ok", "ok", "ok"]),
+        (_VALID, LONG_OUTPUT, SHORT_OUTPUT, ["FAILED: exit 0", "ok", "ok", "ok"]),
+        (USAGE_ERROR, USAGE_ERROR, SHORT_OUTPUT, ["ok", "FAILED: exit 2", "ok", "FAILED: exit 2"]),
+        (USAGE_ERROR, LONG_OUTPUT, USAGE_ERROR, ["ok", "ok", "FAILED: exit 2", "ok"]),
     ],
     ids=["contract", "no-usage-error", "no-output", "no-write"],
 )
 def test_check_exit_codes(usage_error, long_output, short_output, verdicts, capsys):
-    failed = verdicts != ["ok"] * 3
+    failed = verdicts != ["ok"] * 4
     assert check_exit_codes(usage_error, long_output, short_output) == failed
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(": ", 1)[0] for line in lines] == [
         "usage error exits 2",
         "closed pipe exits 1",
         "closed stdout exits 1",
+        "interrupt exits by SIGINT",
     ]
     for line, verdict in zip(lines, verdicts):
         assert line.split(": ", 1)[1].startswith(verdict), line

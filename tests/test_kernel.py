@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -323,6 +324,29 @@ def test_a_checked_vector_is_a_fixed_point_of_every_validator(raw):
             assert _bits(validate(vector)).tolist() == _bits(vector).tolist(), (raw, validate)
 
 
+_Triple = namedtuple("_Triple", "x y z")
+
+
+def _outcome(validate, vector):
+    """The bits validate returns for vector, or the message it raises."""
+    try:
+        return _bits(validate(vector)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordinary | _near_unit | _huge | _subnormal)
+def test_every_container_gives_the_outcome_of_a_plain_float_triple(raw):
+    # A plain tuple takes _unit3's fast path; a tuple subclass, a list and an
+    # array take the general one, which must agree bit for bit and message
+    # for message.
+    for validate in (_kernel.unit_axis, _kernel.bloch_vector, _kernel.normalized):
+        expected = _outcome(validate, raw)
+        for make in (_Triple._make, list, np.array):
+            assert _outcome(validate, make(raw)) == expected, (raw, validate, make)
+
+
 def test_none_is_rejected_in_a_fresh_interpreter():
     # A validator that kept state between calls could answer None from its
     # initial state, before it had checked anything; a fresh process has
@@ -457,3 +481,37 @@ def test_only_self_reference_fills_the_memo():
     assert not _kernel._so3_memo
     halting.self_reference(_AXIS, 0.5, (0, 0, 1))
     assert len(_kernel._so3_memo) == 1
+
+
+# ---------------------------------------------------- time reversal, bit for bit
+
+_LIBM = "time reversal is bit for bit only where libm's cos is even and its sin odd"
+_times = st.sampled_from([0.0, -0.0]) | st.floats(-1e12, 1e12)
+
+
+def _pack(vector) -> bytes:
+    return struct.pack("3d", *vector)
+
+
+@settings(max_examples=500, deadline=None)
+@given(axis=_directions, rate=st.floats(-10.0, 10.0), vector=_directions, t=_times)
+@example(axis=(1.0, 0.0, -0.0), rate=1.0, vector=(1.0, 0.0, -0.0), t=0.0)  # exact zeros out
+def test_heisenberg_at_minus_t_has_the_bits_of_schrodinger_at_t(axis, rate, vector, t):
+    # The paper's closing claim: the Heisenberg picture run backwards in time
+    # is the observer's frame.  struct.pack, not ==, so signs of zero count.
+    heisenberg = pictures.EvolutionSpec(axis, rate, pictures.Picture.HEISENBERG)
+    schrodinger = pictures.EvolutionSpec(axis, rate, pictures.Picture.SCHRODINGER)
+    backward = pictures.evolve(heisenberg, vector, -t)
+    assert _pack(backward) == _pack(pictures.evolve(schrodinger, vector, t)), _LIBM
+
+
+@settings(max_examples=500, deadline=None)
+@given(axis=_directions, delta=_times, basis=_directions)
+@example(axis=(-1.0, 0.0, -0.0), delta=0.0, basis=(0.0, -0.0, 1.0))  # exact zeros out
+def test_self_reference_at_minus_delta_swaps_its_outputs_bit_for_bit(axis, delta, basis):
+    forward = halting.self_reference(axis, delta, basis)
+    backward = halting.self_reference(axis, -delta, basis)
+    assert _pack(backward.heisenberg_output) == _pack(forward.schrodinger_output), _LIBM
+    assert _pack(backward.schrodinger_output) == _pack(forward.heisenberg_output), _LIBM
+    gaps = (backward.discrepancy_angle, forward.discrepancy_angle)
+    assert struct.pack("d", gaps[0]) == struct.pack("d", gaps[1]), _LIBM
