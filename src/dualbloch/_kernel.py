@@ -190,7 +190,7 @@ def _linspace(start: float, stop: float, num: int) -> Iterator[float]:
     """np.linspace(start, stop, num) bit for bit, for num >= 2, point by point."""
     div = num - 1
     delta = stop - start
-    step = delta / div
+    step = delta / div if div < sys.float_info.max else 0.0  # delta / div overflows past it
     for i in range(div):  # a subnormal width steps by 0: divide first, as numpy does
         yield (i / div * delta if step == 0 else i * step) + start
     yield stop

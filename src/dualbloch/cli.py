@@ -8,7 +8,6 @@ parser checks each flag, the commands how flags relate and what the library
 rejects (through parser.error).  Angles are radians unless --degrees is
 given.  Randomized commands take an explicit --seed, with no clock default.
 Only equiv-check, whose trials come from numpy's PCG64 stream, loads numpy.
-Ctrl-C prints one line, error: interrupted, and ends the process by SIGINT.
 """
 
 from __future__ import annotations
@@ -99,40 +98,18 @@ def _write(path: str, lines) -> int:
                 out.write(block)
             out.flush()
     except OSError as exc:
-        if path == "-" and sys.stdout is not None:
-            # Point stdout at devnull so the flush at exit cannot fail again
-            # (the "Note on SIGPIPE" in the documentation of module signal).
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         print(f"error: writing {path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_equiv_check(args) -> int:
-    # The OpenBLAS that numpy wheels bundle starts its thread pool as it loads,
-    # sized by OPENBLAS_NUM_THREADS or else one thread per core, which took
-    # ~70 ms of CPU on a 2-core VM.  This command makes no BLAS call (it draws
-    # normals and does scalar arithmetic on 2x2 matrices), so one thread is
-    # right whatever the caller set.  The caller's value, or its absence, is
-    # back once numpy is loaded: the caller of main() and its child processes
-    # see their own environment, though an in-process caller whose numpy is
-    # first loaded here keeps one BLAS thread.  MKL and Accelerate start
-    # their threads on first use, so nothing is needed for them.
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as np
         from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
     except ImportError as exc:
         print(f"error: equiv-check needs numpy: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if blas_threads is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
 
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
@@ -270,15 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        import signal  # only an interrupted run needs it
-
-        # Die by SIGINT rather than exit, so the wait status still says
-        # "killed by SIGINT": shells and make stop a script on that.
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGINT)
-        raise  # reached only if SIGINT is blocked and the process lives on
+    """Run one command and return its exit code, changing nothing of the
+    calling process: the process-wide effects belong to dualbloch.__main__.run."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)

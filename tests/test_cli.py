@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -123,15 +124,14 @@ def test_the_numpy_free_commands_import_no_threading_numbers_or_signal():
 # ---------------------------------------------------------------- equiv-check
 
 _BLAS_THREADS = """
-import contextlib, io, os, re
-from dualbloch.cli import main
+import contextlib, io, re, sys
+from dualbloch.__main__ import run
 
-before = dict(os.environ)
+sys.argv = ["dualbloch", "equiv-check", "--trials", "1", "--seed", "1"]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["equiv-check", "--trials", "1", "--seed", "1"]) == 0
+    assert run() == 0
 with open("/proc/self/status") as status:
     print(re.search(r"Threads:\\s+(\\d+)", status.read())[1])
-print(os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == before)
 """
 
 
@@ -140,8 +140,7 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == before)
 def test_equiv_check_loads_numpy_without_a_blas_thread_pool(preset):
     # OpenBLAS starts its threads as numpy loads, one per core unless an
     # environment variable says otherwise.  The command makes no BLAS call,
-    # so it loads numpy with one thread and then puts back the caller's
-    # setting, or its absence.
+    # so the process entry point asks for one thread whatever was set.
     env = cli_env()
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
@@ -149,8 +148,14 @@ def test_equiv_check_loads_numpy_without_a_blas_thread_pool(preset):
         env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"1\n{preset} True\n".encode()
+    assert proc.stdout == b"1\n"
 
+
+def test_main_leaves_the_environment_as_it_found_it():
+    before = dict(os.environ)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["equiv-check", "--trials", "1", "--seed", "1"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_equiv_check_passes_and_reports():
@@ -603,6 +608,7 @@ def test_trajectory_usage_errors():
 # ------------------------------------------------------------------ broken pipe
 
 _HUGE = str(10**17)
+_BEYOND_FLOAT = str(10**400)  # more grid points than the largest float
 
 
 @pytest.mark.parametrize(
@@ -619,6 +625,14 @@ _HUGE = str(10**17)
         pytest.param(("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
                       "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE),
                      id="huge-steps"),
+        pytest.param(("self-ref-sweep", "--theta-steps", _BEYOND_FLOAT, "--delta-steps", "3"),
+                     id="beyond-float-theta-steps"),
+        pytest.param(("self-ref-sweep", "--theta-steps", "3", "--delta-steps", _BEYOND_FLOAT),
+                     id="beyond-float-delta-steps"),
+        pytest.param(("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
+                      "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1",
+                      "--steps", _BEYOND_FLOAT),
+                     id="beyond-float-steps"),
     ],
 )  # fmt: skip
 def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
@@ -681,6 +695,65 @@ def test_ctrl_c_ends_a_run_by_sigint_without_traceback():
     assert first == b"time_label,vx,vy,vz\n"
     assert returncode == -signal.SIGINT
     assert stderr == b"error: interrupted\n"
+
+
+# ------------------------------------------------------- main as a plain function
+
+_CALLER_CATCHES_CTRL_C = """
+import os, signal, sys, threading
+from dualbloch.cli import main
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started ignoring it
+threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT)).start()
+argv = ["trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0",
+        "1", "--t-start", "0", "--t-end", "1", "--steps", str(10**8)]
+try:
+    with open(os.devnull, "w") as sys.stdout:
+        main(argv)
+except KeyboardInterrupt:
+    print("caught", file=sys.__stdout__)
+print("still running", file=sys.__stdout__)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_ctrl_c_reaches_an_in_process_caller_as_keyboard_interrupt():
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALLER_CATCHES_CTRL_C], capture_output=True, env=cli_env(),
+        timeout=60,
+    )  # fmt: skip
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"caught\nstill running\n"
+
+
+class _BrokenPipeStdout(io.StringIO):
+    """A stdout without a file descriptor whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_failing_stdout_without_a_file_descriptor_makes_main_return_1():
+    argv = ["halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
+            "--picture", "heisenberg"]  # fmt: skip
+    with contextlib.redirect_stdout(_BrokenPipeStdout()):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) == 1
+    assert err.getvalue() == "error: writing -: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_main_leaves_a_failing_stdout_file_where_the_caller_put_it():
+    argv = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"]
+    out = open("/dev/full", "w")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) == 1
+        assert err.getvalue().startswith("error: writing -: ")
+        assert os.fstat(out.fileno()).st_rdev == os.stat("/dev/full").st_rdev
+    finally:
+        with contextlib.suppress(OSError):  # its rows are still buffered for /dev/full
+            out.close()
 
 
 class _CountingRaw(io.RawIOBase):

@@ -110,6 +110,12 @@ def test_trajectory_two_steps_is_just_the_endpoints():
     assert [s.time_label for s in samples] == [0.0, 2.5]
 
 
+def test_a_grid_with_more_points_than_a_float_can_count_streams():
+    # 10^400 - 1 steps overflow a float: each point is i / div * width, int / int first.
+    first = next(trajectory(SCHRO, Z, 0.0, 1.0, 10**400))
+    assert first == next(trajectory(SCHRO, Z, 0.0, 1.0, 2))
+
+
 def test_trajectory_rejects_bad_grids():
     with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
         trajectory(SCHRO, Z, 0.0, 1.0, 1)
