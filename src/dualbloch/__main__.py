@@ -11,7 +11,10 @@ def run() -> int:
     from .cli import main
 
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's way out, after --help as well
+            code = exc.code
         if sys.stdout is not None:  # None when fd 1 was closed at start-up
             try:
                 sys.stdout.flush()

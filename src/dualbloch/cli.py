@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from ._kernel import _linspace, expectation, normalized
+from ._kernel import _SO3_MEMO_SIZE, _linspace, expectation, normalized
 from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
@@ -147,14 +147,26 @@ def cmd_self_ref_sweep(args) -> int:
     if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
         args.error("ranges must be ordered min < max and of finite width")
 
+    tol, steps = args.tol, args.delta_steps
+
+    def columns(skip: int):  # (delta, its text) for the columns from number skip on
+        deltas = itertools.islice(_linspace(delta_lo, delta_hi, steps), skip, None)
+        return ((delta, format(delta, REAL)) for delta in deltas)
+
+    # _linspace gives a delta the same bits on every row: the columns whose
+    # rotations _so3 keeps keep their text too, and later ones are made per row.
+    head = list(itertools.islice(columns(0), _SO3_MEMO_SIZE))
+
     def rows():  # row-major, computed as they are written
         for theta in _linspace(theta_lo, theta_hi, args.theta_steps):
+            theta_text = format(theta, REAL)
             basis = (math.sin(theta), 0.0, math.cos(theta))
-            for delta in _linspace(delta_lo, delta_hi, args.delta_steps):
+            tail = columns(len(head)) if steps > len(head) else ()
+            for delta, delta_text in itertools.chain(head, tail):
                 gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
-                yield theta, delta, gap, "true" if gap < args.tol else "false"
+                yield theta_text, delta_text, gap, "true" if gap < tol else "false"
 
-    fields = {"theta": REAL, "delta": REAL, "discrepancy_angle": REAL, "fixed_point": "s"}
+    fields = {"theta": "s", "delta": "s", "discrepancy_angle": REAL, "fixed_point": "s"}
     return _write(args.output, _lines(args.format, fields, rows()))
 
 
@@ -170,8 +182,19 @@ def cmd_trajectory(args) -> int:
     return _write("-", _lines(args.format, fields, rows))
 
 
+class HelpParser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes out through _write, so help that cannot
+    be written is an I/O failure, exit 1 (argparse drops the error, exit 0)."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        elif _write("-", [self.format_help()]):
+            self.exit(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = HelpParser(
         prog="dualbloch",
         description="Single-qubit Bloch-vector dynamics in both dynamical pictures.",
     )

@@ -40,6 +40,23 @@ def run_cli_without_stdout(*argv):
     )
 
 
+def run_cli_into_closed_pipe(*argv, env=None):
+    """Run the CLI in a fresh subprocess whose stdout is a pipe with its read
+    end closed before the command starts; stderr comes back as bytes."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "dualbloch", *map(str, argv)],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=env or cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+
+
 def run_cli_closing_pipe(lines: int, *argv):
     """Run the CLI in a fresh subprocess whose reader takes the first lines of
     stdout and then closes the pipe.  Returns the lines read, the exit code

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import _kernel, cli
+from dualbloch import _kernel, cli, halting
 from helpers import (
     cli_env,
     run_cli,
     run_cli_closing_pipe,
+    run_cli_into_closed_pipe,
     run_cli_interrupted,
     run_cli_without_stdout,
 )
@@ -437,6 +438,42 @@ def test_a_sweep_wider_than_the_rotation_memo_stays_flat(tmp_path):
     assert peak < 1_000_000
 
 
+def _sweep_cells(fmt, theta_range, delta_range, theta_steps, delta_steps):
+    """The sweep's output made cell by cell, each float formatted where it is
+    written, over numpy's grid: what the CLI's per-run column texts must match."""
+    tol = halting.FIXED_POINT_TOL
+    out = ["theta,delta,discrepancy_angle,fixed_point\n"] if fmt == "csv" else []
+    for theta in np.linspace(*theta_range, theta_steps).tolist():
+        basis = (math.sin(theta), 0.0, math.cos(theta))
+        for delta in np.linspace(*delta_range, delta_steps).tolist():
+            gap = halting.self_reference((0.0, 0.0, 1.0), delta, basis).discrepancy_angle
+            flag = "true" if gap < tol else "false"
+            if fmt == "csv":
+                out.append(f"{theta:.17g},{delta:.17g},{gap:.17g},{flag}\n")
+            else:
+                out.append(f'{{"theta": {theta:.17g}, "delta": {delta:.17g}, '
+                           f'"discrepancy_angle": {gap:.17g}, "fixed_point": {flag}}}\n')
+    return "".join(out).encode()
+
+
+def test_sweep_wider_than_the_column_cache_matches_a_per_cell_formatter():
+    # Columns past _SO3_MEMO_SIZE are formatted row by row, the rest once per run.
+    proc = run_cli("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 1100, "--degrees",
+                   "--theta-range", -10, 190, "--delta-range", -400, 400)  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    radians = [math.radians(x) for x in (-10, 190, -400, 400)]
+    assert proc.stdout == _sweep_cells("csv", radians[:2], radians[2:], 3, 1100)
+
+
+def test_sweep_jsonl_file_wider_than_the_column_cache_matches_a_per_cell_formatter(tmp_path):
+    target = tmp_path / "sweep.jsonl"
+    proc = run_cli("self-ref-sweep", "--theta-steps", 2, "--delta-steps", 1030,
+                   "--theta-range", 0.3, 2.9, "--delta-range", -1e-3, 7,
+                   "--format", "jsonl", "--output", target)  # fmt: skip
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert target.read_bytes() == _sweep_cells("jsonl", (0.3, 2.9), (-1e-3, 7.0), 2, 1030)
+
+
 def test_trajectory_streams_its_rows(tmp_path):
     # Nothing is held per step: each grid point and its row are computed as
     # they are written.
@@ -654,15 +691,7 @@ def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
 )  # fmt: skip
 def test_closed_pipe_exits_1_without_traceback(argv):
     # The read end is closed before the command starts, so its one write fails.
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualbloch", *argv], stdout=w, stderr=subprocess.PIPE,
-            env=cli_env(), timeout=60,
-        )  # fmt: skip
-    finally:
-        os.close(w)
+    proc = run_cli_into_closed_pipe(*argv)
     assert proc.returncode == 1
     assert proc.stderr == b"error: writing -: Broken pipe\n"
 
@@ -793,6 +822,45 @@ def test_full_output_device_exits_1_without_traceback():
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: writing /dev/full: ")
     assert b"Traceback" not in proc.stderr
+
+
+def _stdout_env(buffered: bool):
+    """cli_env() with Python's stdout block-buffered, or written through on
+    each call as under PYTHONUNBUFFERED=1."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+_BUFFERING = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+
+
+@_BUFFERING
+@pytest.mark.parametrize("argv", [("--help",), ("trajectory", "--help")], ids=" ".join)
+def test_help_into_a_closed_pipe_exits_1(argv, buffered):
+    proc = run_cli_into_closed_pipe(*argv, env=_stdout_env(buffered))
+    assert (proc.returncode, proc.stderr) == (1, b"error: writing -: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@_BUFFERING
+@pytest.mark.parametrize("argv", [("--help",), ("self-ref-sweep", "--help")], ids=" ".join)
+def test_help_on_a_full_device_exits_1(argv, buffered):
+    # Buffered, the failed bytes stay behind for the flush at exit, which
+    # must not fail again (Python would report it and exit 120).
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualbloch", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=_stdout_env(buffered), timeout=60,
+        )  # fmt: skip
+    assert (proc.returncode, proc.stderr) == (1, b"error: writing -: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("self-ref-sweep", "--help")], ids=" ".join)
+def test_help_that_is_written_exits_0(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: dualbloch")
 
 
 # ---------------------------------------------------------------- determinism
