@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._kernel import _entries, _finite, _rotation, _so3, _transport, bloch_vector, expectation
-from ._kernel import unit_axis
+from ._kernel import _axis_rotation, _finite, _rotation, _so3, _transport, bloch_vector
+from ._kernel import expectation, unit_axis
 from .pictures import Picture
 
 HALT_POLE = (0.0, 0.0, 1.0)
@@ -66,7 +66,7 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     Expectations are picture independent; the halt expectation is -1 after
     every run.
     """
-    r = _rotation(*_entries(machine.axis, machine.angle))
+    r = _axis_rotation(machine.axis, machine.angle)
     if picture is Picture.SCHRODINGER:
         system_out = _transport(r, machine.system, inverse=False)
         halt_out = _transport(_FLIP, machine.halt, inverse=False)
@@ -101,8 +101,8 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     and R^T b, the transports of rotate_state and rotate_observable.
 
     R comes from a memo of the first 1024 (axis, angle) inputs of the
-    process, keyed by their exact bits: a sweep builds each delta's R once,
-    and the memo stays at ~0.44 MB whatever the grid size.
+    process, keyed by their exact bits; _axis_rotation builds it on a miss.
+    A sweep builds each delta's R once, and the memo stays at ~0.44 MB.
     """
     r = _so3(unit_axis(axis), angle)
     basis = bloch_vector(basis)

@@ -20,7 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from ._kernel import _entries, _finite, _linspace, _rotation, _transport, bloch_vector, unit_axis
+from ._kernel import _axis_rotation, _finite, _linspace, _transport, bloch_vector, unit_axis
 
 
 class Picture(Enum):
@@ -60,7 +60,7 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
     of make_unitary(axis, rate * t), bit for bit, as a float triple.
     """
-    r = _rotation(*_entries(spec.axis, spec.rate * _finite(t, "t")))
+    r = _axis_rotation(spec.axis, spec.rate * _finite(t, "t"))
     inverse = spec.picture is not Picture.SCHRODINGER
     return _transport(r, bloch_vector(vector), inverse)
 

@@ -18,24 +18,32 @@ def cli_env():
     return env
 
 
-def run_cli(*argv):
+def stdout_env(buffered: bool):
+    """cli_env() with Python's stdout block-buffered, or written through on
+    each call as under PYTHONUNBUFFERED=1, whatever this process runs under."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+def run_cli(*argv, env=None):
     """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes.
     A command still running after 60 s raises subprocess.TimeoutExpired."""
     return subprocess.run(
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
         capture_output=True,
-        env=cli_env(),
+        env=env or cli_env(),
         timeout=60,
     )
 
 
-def run_cli_without_stdout(*argv):
+def run_cli_without_stdout(*argv, env=None):
     """Run the CLI in a fresh subprocess started with fd 1 closed, as by
     `dualbloch ... >&-` in a POSIX shell; stderr comes back as bytes."""
     return subprocess.run(
         ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dualbloch", *map(str, argv)],
         stderr=subprocess.PIPE,
-        env=cli_env(),
+        env=env or cli_env(),
         timeout=60,
     )
 
@@ -57,7 +65,7 @@ def run_cli_into_closed_pipe(*argv, env=None):
         os.close(w)
 
 
-def run_cli_closing_pipe(lines: int, *argv):
+def run_cli_closing_pipe(lines: int, *argv, env=None):
     """Run the CLI in a fresh subprocess whose reader takes the first lines of
     stdout and then closes the pipe.  Returns the lines read, the exit code
     and stderr; a command still running 60 s later raises TimeoutExpired."""
@@ -65,7 +73,7 @@ def run_cli_closing_pipe(lines: int, *argv):
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=cli_env(),
+        env=env or cli_env(),
     ) as proc:
         try:
             read = [proc.stdout.readline() for _ in range(lines)]

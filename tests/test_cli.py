@@ -22,6 +22,7 @@ from helpers import (
     run_cli_into_closed_pipe,
     run_cli_interrupted,
     run_cli_without_stdout,
+    stdout_env,
 )
 
 PI = math.pi
@@ -646,6 +647,9 @@ def test_trajectory_usage_errors():
 
 _HUGE = str(10**17)
 _BEYOND_FLOAT = str(10**400)  # more grid points than the largest float
+# Each failure below is checked with stdout block-buffered and written
+# through, so the PYTHONUNBUFFERED this process runs under picks neither.
+_BOTH_BUFFERINGS = (True, False)
 
 
 @pytest.mark.parametrize(
@@ -675,10 +679,11 @@ _BEYOND_FLOAT = str(10**400)  # more grid points than the largest float
 def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
     # Every output is larger than a pipe buffer, so the writer is still
     # writing when the reader goes away after the header and the first row.
-    read, returncode, stderr = run_cli_closing_pipe(2, *argv)
-    assert all(read), read
-    assert returncode == 1
-    assert stderr == b"error: writing -: Broken pipe\n"
+    for buffered in _BOTH_BUFFERINGS:
+        read, returncode, stderr = run_cli_closing_pipe(2, *argv, env=stdout_env(buffered))
+        assert all(read), (buffered, read)
+        assert returncode == 1, buffered
+        assert stderr == b"error: writing -: Broken pipe\n", buffered
 
 
 @pytest.mark.parametrize(
@@ -691,9 +696,10 @@ def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
 )  # fmt: skip
 def test_closed_pipe_exits_1_without_traceback(argv):
     # The read end is closed before the command starts, so its one write fails.
-    proc = run_cli_into_closed_pipe(*argv)
-    assert proc.returncode == 1
-    assert proc.stderr == b"error: writing -: Broken pipe\n"
+    for buffered in _BOTH_BUFFERINGS:
+        proc = run_cli_into_closed_pipe(*argv, env=stdout_env(buffered))
+        assert proc.returncode == 1, buffered
+        assert proc.stderr == b"error: writing -: Broken pipe\n", buffered
 
 
 @pytest.mark.parametrize(
@@ -710,9 +716,10 @@ def test_closed_pipe_exits_1_without_traceback(argv):
 )  # fmt: skip
 def test_closed_stdout_exits_1_without_traceback(argv):
     # With fd 1 closed at start-up Python sets sys.stdout to None.
-    proc = run_cli_without_stdout(*argv)
-    assert proc.returncode == 1
-    assert proc.stderr == b"error: writing -: Bad file descriptor\n"
+    for buffered in _BOTH_BUFFERINGS:
+        proc = run_cli_without_stdout(*argv, env=stdout_env(buffered))
+        assert proc.returncode == 1, buffered
+        assert proc.stderr == b"error: writing -: Bad file descriptor\n", buffered
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
@@ -816,29 +823,21 @@ def test_write_through_stdout_gets_rows_in_blocks():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_output_device_exits_1_without_traceback():
-    proc = run_cli(
-        "self-ref-sweep", "--theta-steps", 3, "--delta-steps", 3, "--output", "/dev/full"
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(b"error: writing /dev/full: ")
-    assert b"Traceback" not in proc.stderr
+    argv = ("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 3, "--output", "/dev/full")
+    for buffered in _BOTH_BUFFERINGS:
+        proc = run_cli(*argv, env=stdout_env(buffered))
+        assert proc.returncode == 1, buffered
+        assert proc.stderr.startswith(b"error: writing /dev/full: "), buffered
+        assert b"Traceback" not in proc.stderr, buffered
 
 
-def _stdout_env(buffered: bool):
-    """cli_env() with Python's stdout block-buffered, or written through on
-    each call as under PYTHONUNBUFFERED=1."""
-    env = cli_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
-
-
-_BUFFERING = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+_BUFFERING = pytest.mark.parametrize("buffered", _BOTH_BUFFERINGS, ids=["buffered", "unbuffered"])
 
 
 @_BUFFERING
 @pytest.mark.parametrize("argv", [("--help",), ("trajectory", "--help")], ids=" ".join)
 def test_help_into_a_closed_pipe_exits_1(argv, buffered):
-    proc = run_cli_into_closed_pipe(*argv, env=_stdout_env(buffered))
+    proc = run_cli_into_closed_pipe(*argv, env=stdout_env(buffered))
     assert (proc.returncode, proc.stderr) == (1, b"error: writing -: Broken pipe\n")
 
 
@@ -851,7 +850,7 @@ def test_help_on_a_full_device_exits_1(argv, buffered):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "dualbloch", *argv], stdout=full, stderr=subprocess.PIPE,
-            env=_stdout_env(buffered), timeout=60,
+            env=stdout_env(buffered), timeout=60,
         )  # fmt: skip
     assert (proc.returncode, proc.stderr) == (1, b"error: writing -: No space left on device\n")
 

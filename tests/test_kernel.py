@@ -400,11 +400,11 @@ def _fresh_outputs_bits(axis, angle, basis) -> bytes:
 
 
 def _counting_rotation(monkeypatch, *modules):
-    """A list that gets the entries of each SO(3) matrix the modules build."""
+    """A list that gets the (axis, angle) of each SO(3) matrix the modules build."""
     built = []
-    rotation = _kernel._rotation
+    rotation = _kernel._axis_rotation
     for module in modules:
-        monkeypatch.setattr(module, "_rotation", lambda *u: built.append(u) or rotation(*u))
+        monkeypatch.setattr(module, "_axis_rotation", lambda *u: built.append(u) or rotation(*u))
     return built
 
 
@@ -481,6 +481,39 @@ def test_only_self_reference_fills_the_memo():
     assert not _kernel._so3_memo
     halting.self_reference(_AXIS, 0.5, (0, 0, 1))
     assert len(_kernel._so3_memo) == 1
+
+
+# ------------------------------------------------------ the axis-angle kernel
+
+_TINY = [5e-324, 2.0**-1022, 1e-300, 1e-17]
+_ZEROS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)])
+_kernel_axes = st.one_of(
+    st.builds(  # a coordinate axis whose zeros are signed or subnormal
+        lambda i, one, zeros: (*zeros[:i], one, *zeros[i:]),
+        st.integers(0, 2),
+        st.sampled_from([1.0, -1.0]),
+        st.tuples(_ZEROS, _ZEROS),
+    ),
+    _near_unit,
+).map(su2.unit_axis)
+_kernel_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, *_TINY, *(-t for t in _TINY)]),
+    st.integers(-(10**6), 10**6).map(lambda k: k * math.pi),
+    st.integers(-64, 64).map(lambda k: k * math.pi / 4),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(axis=_kernel_axes, angle=_kernel_angles)
+@example(axis=(0.0, 1.0, -0.0), angle=-0.0)
+@example(axis=(-1.0, 5e-324, -0.0), angle=math.pi)
+def test_axis_rotation_has_the_bits_of_the_rotation_of_the_entries(axis, angle):
+    # struct.pack, not ==, so signs of zero count: _rotation's mirror
+    # property, and with it time reversal, carries over bit for bit.
+    want = struct.pack("9d", *_kernel._rotation(*_kernel._entries(axis, angle)))
+    assert struct.pack("9d", *_kernel._axis_rotation(axis, angle)) == want
 
 
 # ---------------------------------------------------- time reversal, bit for bit
