@@ -1,7 +1,7 @@
 """The rotation path on plain floats, without numpy: the 3-vector validators
-(su2 and bloch export these same objects), SO(3) matrices of an axis and
-angle or of given SU(2) entries, transport, expectation and grids.  A vector
-is a float triple; a rejected input raises a ValueError that names it.
+(su2 and bloch export these same objects), the SO(3) matrix of an axis and
+angle, transport, expectation and grids.  A vector is a float triple; a
+rejected input raises a ValueError that names it.
 
 Every vector a validator returns is a fixed point of all three validators:
 a vector of unit norm to within one ulp comes back bit for bit, so checking
@@ -103,47 +103,13 @@ def normalized(components) -> tuple[float, float, float]:
     return _unit3(components, "vector", None)
 
 
-def _entries(axis, angle: float) -> tuple[complex, complex, complex, complex]:
-    """Entries (a, b, c, d), row by row, of su2.make_unitary(axis, angle), for
-    an axis that unit_axis returned.  Only make_unitary needs them."""
-    x, y, z = axis
-    angle = _finite(angle, "angle")
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    return complex(c, -s * z), complex(-s * y, -s * x), complex(s * y, -s * x), complex(c, s * z)
-
-
-def _rotation(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ...]:
-    """The nine entries, row by row, of the SO(3) matrix of [[a, b], [c, d]].
-
-    These are the traces Tr(sigma_i u sigma_j u+) / 2, expanded on the real
-    and imaginary parts of the entries of u.  Each entry below the diagonal
-    mirrors the one above it term by term, so for u in SU(2) (|b| = |c|) the
-    matrix of u+ is the transpose bit for bit, signs of zero included.  With
-    a libm whose cos is even and sin odd, the Heisenberg picture at -t then
-    has the bits of the Schrodinger picture at t.  Products of the complex
-    entries give the same nonzero bits, but can flip the sign of a zero.
-    _axis_rotation has its bits, and so this mirror, for an axis and angle.
-    """
-    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
-    re_ad = ar * dr + ai * di  # the real part of a d*
-    re_bc = br * cr + bi * ci
-    im_bc = bi * cr - br * ci
-    return (
-        re_ad + re_bc, (ai * dr - ar * di) - im_bc, (ar * cr + ai * ci) - (br * dr + bi * di),
-        (ar * di - ai * dr) - im_bc, re_ad - re_bc, (ar * ci - ai * cr) - (br * di - bi * dr),
-        (ar * br + ai * bi) - (cr * dr + ci * di), (ai * br - ar * bi) - (ci * dr - cr * di),
-        0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
-    )  # fmt: skip
-
-
 def _axis_rotation(axis, angle) -> tuple[float, ...]:
     """The SO(3) matrix of su2.make_unitary(axis, angle), for an axis that
-    unit_axis returned: _rotation on _entries(axis, angle) bit for bit, signs
-    of zero included.  Up to sign, each term there is one of ten products, as
+    unit_axis returned: bloch._rotation_of that unitary bit for bit, signs of
+    zero included.  Up to sign, each term there is one of ten products, as
     (-s) * x == -(s * x) and p * q == q * p exactly; each entry keeps its
-    expression tree and only shares them.  abs() of a complex is libm's
-    hypot, which math.hypot is not."""
+    expression tree and only shares them.  abs(complex(p, q)) is libm's
+    hypot(p, q), which math.hypot is not."""
     x, y, z = axis
     angle = _finite(angle, "angle")
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
@@ -184,7 +150,7 @@ def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: boo
     """R v, or R^T v when inverse, renormalized to unit length.
 
     r holds the nine entries of R row by row and v three floats.  For u in
-    SU(2) (|b| = |c|), R^T is the _rotation of u+ bit for bit.
+    SU(2) (|b| = |c|), R^T is bloch.adjoint_rotation(u+) bit for bit.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     if inverse:

@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, _finite, _rotation, _transport, _unit3, expectation, unit_axis
+from ._kernel import NORM_SLACK, _finite, _transport, _unit3, expectation, unit_axis
 from ._kernel import bloch_vector, normalized  # the kernel's own objects, exported here
 from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -60,8 +60,15 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
 
 
 def _rotation_of(u) -> tuple[float, ...]:
-    """_rotation on the entries of u, which must be 2x2 and unitary within
-    NORM_SLACK: rows of unit norm, and orthogonal.  Each test fails on NaN."""
+    """The nine entries, row by row, of the SO(3) matrix of u, which must be
+    2x2 and unitary within NORM_SLACK (rows of unit norm, and orthogonal;
+    each test fails on NaN): the traces Tr(sigma_i u sigma_j u+) / 2 on the
+    real and imaginary parts of its entries.  Each entry below the diagonal
+    mirrors the one above it term by term, so for u in SU(2) (|b| = |c|) the
+    matrix of u+ is the transpose bit for bit, signs of zero included.  With
+    a libm whose cos is even and sin odd, the Heisenberg picture at -t then
+    has the bits of the Schrodinger picture at t.  Products of the complex
+    entries give the same nonzero bits, but can flip the sign of a zero."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"matrix must be 2x2, got shape {u.shape}")
@@ -71,7 +78,16 @@ def _rotation_of(u) -> tuple[float, ...]:
     overlap = abs(a * c.conjugate() + b * d.conjugate())
     if not (abs(n0 - 1.0) < NORM_SLACK and abs(n1 - 1.0) < NORM_SLACK and overlap < NORM_SLACK):
         raise ValueError(f"matrix is not unitary: row norms^2 {n0!r}, {n1!r}, overlap {overlap!r}")
-    return _rotation(a, b, c, d)
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    re_ad = ar * dr + ai * di  # the real part of a d*
+    re_bc = br * cr + bi * ci
+    im_bc = bi * cr - br * ci
+    return (
+        re_ad + re_bc, (ai * dr - ar * di) - im_bc, (ar * cr + ai * ci) - (br * dr + bi * di),
+        (ar * di - ai * dr) - im_bc, re_ad - re_bc, (ar * ci - ai * cr) - (br * di - bi * dr),
+        (ar * br + ai * bi) - (cr * dr + ci * di), (ai * br - ar * bi) - (ci * dr - cr * di),
+        0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
+    )  # fmt: skip
 
 
 def adjoint_rotation(u) -> np.ndarray:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._kernel import _axis_rotation, _finite, _rotation, _so3, _transport, bloch_vector
+from ._kernel import _axis_rotation, _finite, _so3, _transport, bloch_vector
 from ._kernel import expectation, unit_axis
 from .pictures import Picture
 
 HALT_POLE = (0.0, 0.0, 1.0)
-_FLIP = _rotation(0j, 1 + 0j, 1 + 0j, 0j)  # the entries of SIGMA_X, row by row
+_FLIP = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)  # the SO(3) matrix of SIGMA_X
 
 FIXED_POINT_TOL = 1e-9  # default angular tolerance for classifying agreement
 

@@ -12,9 +12,11 @@ SU(2) period is 4*pi and ``make_unitary(n, d + 2*pi) == -make_unitary(n, d)``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._kernel import _entries, unit_axis
+from ._kernel import _finite, unit_axis
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,8 +31,11 @@ del _m
 
 def make_unitary(axis, angle: float) -> np.ndarray:
     """Axis-angle unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    a, b, c, d = _entries(unit_axis(axis), angle)
-    return np.array([[a, b], [c, d]])
+    x, y, z = unit_axis(axis)
+    angle = _finite(angle, "angle")
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    return np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
+                     [complex(s * y, -s * x), complex(c, s * z)]])  # fmt: skip
 
 
 def adjoint(u) -> np.ndarray:

@@ -84,7 +84,7 @@ def run_cli_closing_pipe(lines: int, *argv, env=None):
     return read, proc.returncode, stderr
 
 
-def run_cli_interrupted(*argv):
+def run_cli_interrupted(*argv, env=None):
     """Run the CLI in a fresh subprocess and send it SIGINT, as Ctrl-C in a
     terminal does, once it has written its first line.  Returns that line,
     the exit code and stderr.  POSIX only.  The child starts with SIGINT at
@@ -95,7 +95,7 @@ def run_cli_interrupted(*argv):
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=cli_env(),
+        env=env or cli_env(),
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     ) as proc:
         try:

@@ -1,5 +1,9 @@
 """Matrix predicates and random inputs that the unit tests share."""
 
+import itertools
+import math
+import struct
+
 import numpy as np
 
 from dualbloch.bloch import random_unit_vector
@@ -7,6 +11,19 @@ from dualbloch.su2 import IDENTITY
 
 TOL_ALG = 1e-12  # max entrywise deviation tolerated from exact unitarity
 TOL_ROT = 1e-10  # orthogonality / determinant tolerance for 3x3 rotations
+
+CORNERS = [  # each coordinate axis, with each sign of its 1 and of its two zeros
+    tuple(one if j == i else zeros[j - (j > i)] for j in range(3))
+    for i in range(3)
+    for one in (1.0, -1.0)
+    for zeros in itertools.product((0.0, -0.0), repeat=2)
+]
+CORNER_ANGLES = (0.0, -0.0, math.pi, -math.pi, math.pi / 2)  # exact zeros in the outputs
+
+
+def bits(vector) -> bytes:
+    """The bytes of a float triple: unlike ==, they tell -0.0 from 0.0."""
+    return struct.pack("3d", *vector)
 
 
 def is_unitary(u, tol: float = TOL_ALG) -> bool:

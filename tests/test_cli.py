@@ -727,10 +727,11 @@ def test_ctrl_c_ends_a_run_by_sigint_without_traceback():
     # The wait status still says "killed by SIGINT", so a shell script stops.
     argv = ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0",
             "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE)  # fmt: skip
-    first, returncode, stderr = run_cli_interrupted(*argv)
-    assert first == b"time_label,vx,vy,vz\n"
-    assert returncode == -signal.SIGINT
-    assert stderr == b"error: interrupted\n"
+    for buffered in _BOTH_BUFFERINGS:
+        first, returncode, stderr = run_cli_interrupted(*argv, env=stdout_env(buffered))
+        assert first == b"time_label,vx,vy,vz\n", buffered
+        assert returncode == -signal.SIGINT, buffered
+        assert stderr == b"error: interrupted\n", buffered
 
 
 # ------------------------------------------------------- main as a plain function

@@ -1,10 +1,12 @@
 import copy
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
+from dualbloch import halting
 from dualbloch.bloch import (
     adjoint_rotation,
     expectation,
@@ -22,9 +24,9 @@ from dualbloch.halting import (
     self_reference,
 )
 from dualbloch.pictures import EvolutionSpec, Picture, trajectory
-from dualbloch.su2 import make_unitary
+from dualbloch.su2 import SIGMA_X, make_unitary
 
-from matrices import near_unit_vector
+from matrices import CORNER_ANGLES, CORNERS, bits, near_unit_vector
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -155,17 +157,24 @@ def test_run_zero_angle_still_halts():
 
 
 def test_run_outputs_are_the_public_transports_bit_for_bit():
+    # Compared as bytes, so the signs of the corners' exact zeros count.
+    machines = [HaltingMachine(axis, angle, v, v)
+                for axis in CORNERS for angle in CORNER_ANGLES for v in CORNERS]  # fmt: skip
     rng = np.random.default_rng(64)
     for draw in (random_unit_vector, near_unit_vector):
         for _ in range(300):
             angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            m = HaltingMachine(draw(rng), angle, draw(rng), draw(rng))
-            u = make_unitary(m.axis, m.angle)
-            schro, heis = run(m, Picture.SCHRODINGER), run(m, Picture.HEISENBERG)
-            np.testing.assert_array_equal(schro.system_out, rotate_state(u, m.system))
-            np.testing.assert_array_equal(
-                heis.system_basis_out, rotate_observable(u, m.system_basis)
-            )
+            machines.append(HaltingMachine(draw(rng), angle, draw(rng), draw(rng)))
+    for m in machines:
+        u = make_unitary(m.axis, m.angle)
+        schro, heis = run(m, Picture.SCHRODINGER), run(m, Picture.HEISENBERG)
+        assert bits(schro.system_out) == bits(rotate_state(u, m.system)), m
+        assert bits(heis.system_basis_out) == bits(rotate_observable(u, m.system_basis)), m
+
+
+def test_the_flip_is_the_rotation_of_sigma_x_bit_for_bit():
+    want = struct.pack("9d", *adjoint_rotation(SIGMA_X).ravel().tolist())
+    assert struct.pack("9d", *halting._FLIP) == want
 
 
 def test_run_rejects_the_reversed_picture():
@@ -210,16 +219,19 @@ def test_self_reference_quarter_turn_splits_by_pi():
 
 def test_self_reference_outputs_are_the_two_transports_bit_for_bit():
     # One SO(3) matrix serves both readings; the outputs must not drift from
-    # rotate_state and rotate_observable by even one ulp.
+    # rotate_state and rotate_observable by even one ulp or one sign of zero.
+    cases = [(axis, delta, b) for axis in CORNERS for delta in CORNER_ANGLES for b in CORNERS]
     rng = np.random.default_rng(63)
     for draw in (random_unit_vector, near_unit_vector):
         for _ in range(300):
             axis, basis = draw(rng), draw(rng)
-            delta = float(rng.uniform(-4 * math.pi, 4 * math.pi))
-            u = make_unitary(axis, delta)
-            report = self_reference(axis, delta, basis)
-            np.testing.assert_array_equal(report.schrodinger_output, rotate_state(u, basis))
-            np.testing.assert_array_equal(report.heisenberg_output, rotate_observable(u, basis))
+            cases.append((axis, float(rng.uniform(-4 * math.pi, 4 * math.pi)), basis))
+    for axis, delta, basis in cases:
+        u = make_unitary(axis, delta)
+        report = self_reference(axis, delta, basis)
+        case = (axis, delta, basis)
+        assert bits(report.schrodinger_output) == bits(rotate_state(u, basis)), case
+        assert bits(report.heisenberg_output) == bits(rotate_observable(u, basis)), case
 
 
 def test_self_reference_on_axis_basis_agrees():

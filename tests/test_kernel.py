@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import math
 import struct
 import subprocess
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from dualbloch import _kernel, bloch, cli, halting, pictures, su2
 from dualbloch._kernel import _linspace
 from helpers import cli_env
+from matrices import CORNERS, bits
 
 
 def _bits(values):
@@ -372,13 +372,7 @@ def test_none_is_rejected_in_a_fresh_interpreter():
 
 # ------------------------------------------------------- self_reference's memo
 
-_CORNERS = [  # each coordinate axis, with each sign of its 1 and of its two zeros
-    tuple(one if j == i else zeros[j - (j > i)] for j in range(3))
-    for i in range(3)
-    for one in (1.0, -1.0)
-    for zeros in itertools.product((0.0, -0.0), repeat=2)
-]
-_directions = st.sampled_from(_CORNERS) | _near_unit
+_directions = st.sampled_from(CORNERS) | _near_unit
 _angles = (
     st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
     | st.floats(allow_nan=False, allow_infinity=False)
@@ -394,7 +388,7 @@ def _outputs_bits(schrodinger, heisenberg) -> bytes:
 
 def _fresh_outputs_bits(axis, angle, basis) -> bytes:
     """The bits of self_reference's two outputs, from a rotation built afresh."""
-    r = _kernel._rotation(*_kernel._entries(su2.unit_axis(axis), float(angle)))
+    r = bloch._rotation_of(su2.make_unitary(axis, float(angle)))
     basis = bloch.bloch_vector(basis)
     return _outputs_bits(_kernel._transport(r, basis, False), _kernel._transport(r, basis, True))
 
@@ -510,9 +504,9 @@ _kernel_angles = st.one_of(
 @example(axis=(0.0, 1.0, -0.0), angle=-0.0)
 @example(axis=(-1.0, 5e-324, -0.0), angle=math.pi)
 def test_axis_rotation_has_the_bits_of_the_rotation_of_the_entries(axis, angle):
-    # struct.pack, not ==, so signs of zero count: _rotation's mirror
+    # struct.pack, not ==, so signs of zero count: _rotation_of's mirror
     # property, and with it time reversal, carries over bit for bit.
-    want = struct.pack("9d", *_kernel._rotation(*_kernel._entries(axis, angle)))
+    want = struct.pack("9d", *bloch._rotation_of(su2.make_unitary(axis, angle)))
     assert struct.pack("9d", *_kernel._axis_rotation(axis, angle)) == want
 
 
@@ -520,10 +514,6 @@ def test_axis_rotation_has_the_bits_of_the_rotation_of_the_entries(axis, angle):
 
 _LIBM = "time reversal is bit for bit only where libm's cos is even and its sin odd"
 _times = st.sampled_from([0.0, -0.0]) | st.floats(-1e12, 1e12)
-
-
-def _pack(vector) -> bytes:
-    return struct.pack("3d", *vector)
 
 
 @settings(max_examples=500, deadline=None)
@@ -535,7 +525,7 @@ def test_heisenberg_at_minus_t_has_the_bits_of_schrodinger_at_t(axis, rate, vect
     heisenberg = pictures.EvolutionSpec(axis, rate, pictures.Picture.HEISENBERG)
     schrodinger = pictures.EvolutionSpec(axis, rate, pictures.Picture.SCHRODINGER)
     backward = pictures.evolve(heisenberg, vector, -t)
-    assert _pack(backward) == _pack(pictures.evolve(schrodinger, vector, t)), _LIBM
+    assert bits(backward) == bits(pictures.evolve(schrodinger, vector, t)), _LIBM
 
 
 @settings(max_examples=500, deadline=None)
@@ -544,7 +534,7 @@ def test_heisenberg_at_minus_t_has_the_bits_of_schrodinger_at_t(axis, rate, vect
 def test_self_reference_at_minus_delta_swaps_its_outputs_bit_for_bit(axis, delta, basis):
     forward = halting.self_reference(axis, delta, basis)
     backward = halting.self_reference(axis, -delta, basis)
-    assert _pack(backward.heisenberg_output) == _pack(forward.schrodinger_output), _LIBM
-    assert _pack(backward.schrodinger_output) == _pack(forward.heisenberg_output), _LIBM
+    assert bits(backward.heisenberg_output) == bits(forward.schrodinger_output), _LIBM
+    assert bits(backward.schrodinger_output) == bits(forward.heisenberg_output), _LIBM
     gaps = (backward.discrepancy_angle, forward.discrepancy_angle)
     assert struct.pack("d", gaps[0]) == struct.pack("d", gaps[1]), _LIBM
