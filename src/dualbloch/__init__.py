@@ -7,4 +7,13 @@ Import each name from its module: dualbloch.su2, .bloch, .pictures,
 .halting or .cli.  Importing the package itself loads none of them.
 """
 
+import contextlib
+import sys
+
 __version__ = "0.1.0"
+
+
+def _report(line: str) -> None:
+    """Print line to stderr, or drop it where stderr is None (fd 2 closed) or fails."""
+    with contextlib.suppress(OSError):  # so it never reaches stdout or sets the exit code
+        sys.stderr and print(line, file=sys.stderr)

@@ -6,32 +6,27 @@ import sys
 
 
 def run() -> int:
-    # numpy's OpenBLAS would start a thread per core; equiv-check makes no BLAS call
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    from .cli import main
-
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread: equiv-check makes no BLAS call
     try:
+        from .cli import main  # in the try, so Ctrl-C during the import ends in one line
         try:
             code = main()
         except SystemExit as exc:  # argparse's way out, after --help as well
             code = exc.code
-        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: fd closed at start-up
             try:
-                sys.stdout.flush()
-            except OSError:  # main has reported it; see "Note on SIGPIPE" in module signal
+                stream.flush()
+            except OSError:  # main has reported stdout's; see "Note on SIGPIPE" in module signal
                 devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit succeeds
-                os.dup2(devnull, sys.stdout.fileno())
+                os.dup2(devnull, stream.fileno())
                 os.close(devnull)
-                return 1
         return code
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        from . import _report
         import signal  # only an interrupted run needs it
-
-        # Die by SIGINT rather than exit, so the wait status still says
-        # "killed by SIGINT": shells and make stop a script on that.
+        _report("error: interrupted")
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGINT)
+        signal.raise_signal(signal.SIGINT)  # dying by it, not exiting, stops a shell script too
         raise  # reached only if SIGINT is blocked and the process lives on
 
 

@@ -1,7 +1,7 @@
 """Command-line surface: equivalence checks, halting demos, self-reference
 sweeps, and trajectory traces as plot-ready CSV or JSON-Lines.
 
-Data goes to stdout, all of it through _write; diagnostics go to stderr.
+Data goes to stdout, all of it through _write; diagnostics through _report to stderr.
 Exit codes: 0 success or property holds, 1 property violated or I/O failure
 (a closed pipe included), 2 usage error, always in argparse's shape: the
 parser checks each flag, the commands how flags relate and what the library
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import itertools
 import math
-import os
 import re
 import sys
 
+from . import _report
 from ._kernel import _SO3_MEMO_SIZE, _linspace, expectation, normalized
 from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
@@ -93,12 +92,12 @@ def _write(path: str, lines) -> int:
     try:
         with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
             if out is None:  # Python's stdout when fd 1 was closed at start-up
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                raise OSError("Bad file descriptor")
             while block := "".join(itertools.islice(lines, _BLOCK)):
                 out.write(block)
             out.flush()
     except OSError as exc:
-        print(f"error: writing {path}: {exc.strerror or exc}", file=sys.stderr)
+        _report(f"error: writing {path}: {exc.strerror or exc}")
         return 1
     return 0
 
@@ -108,7 +107,7 @@ def cmd_equiv_check(args) -> int:
         import numpy as np
         from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
     except ImportError as exc:
-        print(f"error: equiv-check needs numpy: {exc}", file=sys.stderr)
+        _report(f"error: equiv-check needs numpy: {exc}")
         return 1
 
     rng = np.random.default_rng(args.seed)
@@ -183,14 +182,17 @@ def cmd_trajectory(args) -> int:
 
 
 class HelpParser(argparse.ArgumentParser):
-    """An ArgumentParser whose help goes out through _write, so help that cannot
-    be written is an I/O failure, exit 1 (argparse drops the error, exit 0)."""
+    """An ArgumentParser whose help goes out through _write and its errors through _report."""
 
-    def print_help(self, file=None):
+    def print_help(self, file=None):  # help that cannot be written exits 1, not argparse's 0
         if file is not None:
             super().print_help(file)
         elif _write("-", [self.format_help()]):
             self.exit(1)
+
+    def error(self, message):  # argparse's bytes, but never on stdout, whatever stderr is
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:

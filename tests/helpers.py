@@ -1,6 +1,7 @@
 """Run the CLI in a subprocess.  Standard library only, so that the golden
 check (tests/goldens.py) runs on an interpreter without numpy or pytest."""
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -12,8 +13,10 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 def cli_env():
     """The environment for a CLI subprocess: this checkout's src/ first on the
-    path, and any warning raised as an error."""
-    env = dict(os.environ, PYTHONWARNINGS="error")
+    path, any warning raised as an error, and a terminal width that fits any
+    usage line on one, so that argparse's usage bytes are the same under every
+    interpreter and terminal."""
+    env = dict(os.environ, PYTHONWARNINGS="error", COLUMNS="1000")
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return env
 
@@ -26,82 +29,54 @@ def stdout_env(buffered: bool):
     return env if buffered else dict(env, PYTHONUNBUFFERED="1")
 
 
-def run_cli(*argv, env=None):
-    """Run the CLI in a fresh subprocess; stdout/stderr come back as bytes.
-    A command still running after 60 s raises subprocess.TimeoutExpired."""
-    return subprocess.run(
+def run_cli(*argv, stdout="captured", stderr="captured", env=None):
+    """Run the CLI in a fresh subprocess; returns its CompletedProcess, with
+    what was read of stdout and stderr as bytes.  Each is "captured" (read to
+    the end), "closed" (its fd closed at start-up, as by `>&-`; POSIX) or
+    "full" (/dev/full, on which every write fails).  stdout may also be:
+      N, an int      a reader that takes the first N lines, then closes the pipe;
+      "closed-pipe"  a pipe whose read end is closed before the command starts;
+      "sigint"       read the first line, send SIGINT as Ctrl-C does, then read
+                     to the end (POSIX).
+    The child starts with SIGINT at its default action even where this process
+    ignores it (as a background job does): Python raises KeyboardInterrupt only
+    if SIGINT was not ignored at start-up.  A command still running after 60 s
+    raises subprocess.TimeoutExpired."""
+    closed = [fd for fd, setup in ((1, stdout), (2, stderr)) if setup == "closed"]
+    files = contextlib.ExitStack()  # this process's ends of /dev/full and of a closed pipe
+
+    def target(setup):
+        if setup == "full":
+            return files.enter_context(open("/dev/full", "wb"))
+        if setup == "closed-pipe":
+            read, write = os.pipe()
+            os.close(read)
+            files.callback(os.close, write)
+            return write
+        return None if setup == "closed" else subprocess.PIPE
+
+    def child():  # runs in the child process, before the exec
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        for fd in closed:
+            os.close(fd)
+
+    with files, subprocess.Popen(
         [sys.executable, "-m", "dualbloch", *map(str, argv)],
-        capture_output=True,
+        bufsize=0,  # a line read leaves nothing behind that communicate() would miss
+        stdout=target(stdout),
+        stderr=target(stderr),
         env=env or cli_env(),
-        timeout=60,
-    )
-
-
-def run_cli_without_stdout(*argv, env=None):
-    """Run the CLI in a fresh subprocess started with fd 1 closed, as by
-    `dualbloch ... >&-` in a POSIX shell; stderr comes back as bytes."""
-    return subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dualbloch", *map(str, argv)],
-        stderr=subprocess.PIPE,
-        env=env or cli_env(),
-        timeout=60,
-    )
-
-
-def run_cli_into_closed_pipe(*argv, env=None):
-    """Run the CLI in a fresh subprocess whose stdout is a pipe with its read
-    end closed before the command starts; stderr comes back as bytes."""
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        return subprocess.run(
-            [sys.executable, "-m", "dualbloch", *map(str, argv)],
-            stdout=w,
-            stderr=subprocess.PIPE,
-            env=env or cli_env(),
-            timeout=60,
-        )
-    finally:
-        os.close(w)
-
-
-def run_cli_closing_pipe(lines: int, *argv, env=None):
-    """Run the CLI in a fresh subprocess whose reader takes the first lines of
-    stdout and then closes the pipe.  Returns the lines read, the exit code
-    and stderr; a command still running 60 s later raises TimeoutExpired."""
-    with subprocess.Popen(
-        [sys.executable, "-m", "dualbloch", *map(str, argv)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env or cli_env(),
+        preexec_fn=child if closed or stdout == "sigint" else None,
     ) as proc:
         try:
-            read = [proc.stdout.readline() for _ in range(lines)]
-            proc.stdout.close()
-            _, stderr = proc.communicate(timeout=60)
+            read = b""
+            if stdout == "sigint":
+                read = proc.stdout.readline()
+                proc.send_signal(signal.SIGINT)
+            elif isinstance(stdout, int):
+                read = b"".join(proc.stdout.readline() for _ in range(stdout))
+                proc.stdout.close()
+            rest, err = proc.communicate(timeout=60)
         finally:
-            proc.kill()  # a writer that never stops must not outlive the reader
-    return read, proc.returncode, stderr
-
-
-def run_cli_interrupted(*argv, env=None):
-    """Run the CLI in a fresh subprocess and send it SIGINT, as Ctrl-C in a
-    terminal does, once it has written its first line.  Returns that line,
-    the exit code and stderr.  POSIX only.  The child starts with SIGINT at
-    its default action even where this process ignores it (as a background
-    job does): Python raises KeyboardInterrupt only if SIGINT was not ignored
-    at start-up."""
-    with subprocess.Popen(
-        [sys.executable, "-m", "dualbloch", *map(str, argv)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env or cli_env(),
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
-    ) as proc:
-        try:
-            first = proc.stdout.readline()
-            proc.send_signal(signal.SIGINT)
-            _, stderr = proc.communicate(timeout=60)
-        finally:
-            proc.kill()  # a writer that outlives the signal must not outlive the check
-    return first, proc.returncode, stderr
+            proc.kill()  # a writer that outlives its reader or the signal must not outlive this
+    return subprocess.CompletedProcess(proc.args, proc.returncode, read + (rest or b""), err or b"")

@@ -5,7 +5,9 @@ import math
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
+from dualbloch._kernel import normalized
 from dualbloch.bloch import random_unit_vector
 from dualbloch.su2 import IDENTITY
 
@@ -19,6 +21,12 @@ CORNERS = [  # each coordinate axis, with each sign of its 1 and of its two zero
     for zeros in itertools.product((0.0, -0.0), repeat=2)
 ]
 CORNER_ANGLES = (0.0, -0.0, math.pi, -math.pi, math.pi / 2)  # exact zeros in the outputs
+# What the oracle bounds of a few ulps were measured on: directions, and angles
+# of magnitude up to 10, 10^6 and 10^-3.
+DIRECTIONS = (
+    st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(normalized)
+)
+ORACLE_ANGLES = st.floats(-10, 10) | st.floats(-1e6, 1e6) | st.floats(-1e-3, 1e-3)
 
 
 def bits(vector) -> bytes:

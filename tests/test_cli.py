@@ -15,15 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualbloch import _kernel, cli, halting
-from helpers import (
-    cli_env,
-    run_cli,
-    run_cli_closing_pipe,
-    run_cli_into_closed_pipe,
-    run_cli_interrupted,
-    run_cli_without_stdout,
-    stdout_env,
-)
+from goldens import RUNS, contract_verdict
+from helpers import cli_env, run_cli
 
 PI = math.pi
 
@@ -493,15 +486,6 @@ def test_trajectory_streams_its_rows(tmp_path):
     assert peak < 1_000_000
 
 
-def test_sweep_unwritable_output_exits_1(tmp_path):
-    proc = run_cli(
-        "self-ref-sweep", "--theta-steps", 2, "--delta-steps", 2,
-        "--output", tmp_path / "missing-dir" / "x.csv",
-    )
-    assert proc.returncode == 1
-    assert b"error" in proc.stderr
-
-
 @pytest.mark.parametrize(
     "extra",
     [
@@ -643,95 +627,16 @@ def test_trajectory_usage_errors():
     assert b"finite width" in proc.stderr
 
 
-# ------------------------------------------------------------------ broken pipe
-
-_HUGE = str(10**17)
-_BEYOND_FLOAT = str(10**400)  # more grid points than the largest float
-# Each failure below is checked with stdout block-buffered and written
-# through, so the PYTHONUNBUFFERED this process runs under picks neither.
-_BOTH_BUFFERINGS = (True, False)
+# ---------------------------------------------------------- process contract
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("self-ref-sweep", "--theta-steps", "61", "--delta-steps", "61"),
-        ("trajectory", "--picture", "heisenberg-reversed", "--axis", "0", "1", "0",
-         "--input", "1", "0", "0", "--t-start", "0", "--t-end", "3", "--steps", "5000"),
-        # A grid of any size streams, 10^17 points as well: nothing is held per point.
-        pytest.param(("self-ref-sweep", "--theta-steps", _HUGE, "--delta-steps", "3"),
-                     id="huge-theta-steps"),
-        pytest.param(("self-ref-sweep", "--theta-steps", "3", "--delta-steps", _HUGE),
-                     id="huge-delta-steps"),
-        pytest.param(("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
-                      "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE),
-                     id="huge-steps"),
-        pytest.param(("self-ref-sweep", "--theta-steps", _BEYOND_FLOAT, "--delta-steps", "3"),
-                     id="beyond-float-theta-steps"),
-        pytest.param(("self-ref-sweep", "--theta-steps", "3", "--delta-steps", _BEYOND_FLOAT),
-                     id="beyond-float-delta-steps"),
-        pytest.param(("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
-                      "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1",
-                      "--steps", _BEYOND_FLOAT),
-                     id="beyond-float-steps"),
-    ],
-)  # fmt: skip
-def test_reader_closing_the_pipe_exits_1_without_traceback(argv):
-    # Every output is larger than a pipe buffer, so the writer is still
-    # writing when the reader goes away after the header and the first row.
-    for buffered in _BOTH_BUFFERINGS:
-        read, returncode, stderr = run_cli_closing_pipe(2, *argv, env=stdout_env(buffered))
-        assert all(read), (buffered, read)
-        assert returncode == 1, buffered
-        assert stderr == b"error: writing -: Broken pipe\n", buffered
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("equiv-check", "--trials", "3", "--seed", "1"),
-        ("halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
-         "--picture", "heisenberg"),
-    ],
-)  # fmt: skip
-def test_closed_pipe_exits_1_without_traceback(argv):
-    # The read end is closed before the command starts, so its one write fails.
-    for buffered in _BOTH_BUFFERINGS:
-        proc = run_cli_into_closed_pipe(*argv, env=stdout_env(buffered))
-        assert proc.returncode == 1, buffered
-        assert proc.stderr == b"error: writing -: Broken pipe\n", buffered
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("equiv-check", "--trials", "3", "--seed", "1"),
-        ("halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
-         "--picture", "heisenberg"),
-        ("self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"),
-        ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0",
-         "--input", "0", "0", "1", "--t-start", "0", "--t-end", "1", "--steps", "3"),
-    ],
-    ids=lambda argv: argv[0],
-)  # fmt: skip
-def test_closed_stdout_exits_1_without_traceback(argv):
-    # With fd 1 closed at start-up Python sets sys.stdout to None.
-    for buffered in _BOTH_BUFFERINGS:
-        proc = run_cli_without_stdout(*argv, env=stdout_env(buffered))
-        assert proc.returncode == 1, buffered
-        assert proc.stderr == b"error: writing -: Bad file descriptor\n", buffered
-
-
-@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-def test_ctrl_c_ends_a_run_by_sigint_without_traceback():
-    # The wait status still says "killed by SIGINT", so a shell script stops.
-    argv = ("trajectory", "--picture", "schrodinger", "--axis", "0", "1", "0", "--input", "0", "0",
-            "1", "--t-start", "0", "--t-end", "1", "--steps", _HUGE)  # fmt: skip
-    for buffered in _BOTH_BUFFERINGS:
-        first, returncode, stderr = run_cli_interrupted(*argv, env=stdout_env(buffered))
-        assert first == b"time_label,vx,vy,vz\n", buffered
-        assert returncode == -signal.SIGINT, buffered
-        assert stderr == b"error: interrupted\n", buffered
+@pytest.mark.parametrize("row, buffered", [pytest.param(*run[1:], id=run[0]) for run in RUNS])
+def test_process_contract(row, buffered):
+    # Each run of the table in tests/goldens.py, which --check makes as well.
+    verdict = contract_verdict(row, buffered)
+    if verdict.startswith("skipped"):
+        pytest.skip(verdict)
+    assert verdict == "ok"
 
 
 # ------------------------------------------------------- main as a plain function
@@ -763,8 +668,31 @@ def test_ctrl_c_reaches_an_in_process_caller_as_keyboard_interrupt():
     assert proc.stdout == b"caught\nstill running\n"
 
 
-class _BrokenPipeStdout(io.StringIO):
-    """A stdout without a file descriptor whose reader has gone away."""
+_INTERRUPTED_IMPORT = """
+import sys
+from dualbloch.__main__ import run
+
+class Interrupt:  # Ctrl-C while dualbloch.cli is being imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "dualbloch.cli":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+sys.exit(run())
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_ctrl_c_during_the_cli_import_ends_in_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED_IMPORT], capture_output=True, env=cli_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (-signal.SIGINT, b"error: interrupted\n")
+    assert proc.stdout == b""
+
+
+class _BrokenPipe(io.StringIO):
+    """A stream without a file descriptor whose reader has gone away."""
 
     def write(self, s):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
@@ -773,10 +701,21 @@ class _BrokenPipeStdout(io.StringIO):
 def test_a_failing_stdout_without_a_file_descriptor_makes_main_return_1():
     argv = ["halting-demo", "--axis", "0", "1", "0", "--delta", "1", "--system", "0", "0", "1",
             "--picture", "heisenberg"]  # fmt: skip
-    with contextlib.redirect_stdout(_BrokenPipeStdout()):
+    with contextlib.redirect_stdout(_BrokenPipe()):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert cli.main(argv) == 1
     assert err.getvalue() == "error: writing -: Broken pipe\n"
+
+
+@pytest.mark.parametrize("stderr", [None, _BrokenPipe()], ids=["none", "failing"])
+def test_a_closed_or_failing_stderr_changes_neither_stdout_nor_the_exit_code(stderr):
+    # None is Python's stderr where fd 2 was closed at start-up.
+    sweep = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(stderr):
+        assert cli.main([*sweep, "--output", "/nonexistent/x"]) == 1
+        with pytest.raises(SystemExit) as usage_error:
+            cli.main([*sweep, "--tol", "0"])
+    assert (usage_error.value.code, out.getvalue()) == (2, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
@@ -820,47 +759,6 @@ def test_write_through_stdout_gets_rows_in_blocks():
     assert raw.data == run_cli(*argv).stdout
     assert raw.data.count(b"\n") == 20_000
     assert raw.writes <= 100
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-def test_full_output_device_exits_1_without_traceback():
-    argv = ("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 3, "--output", "/dev/full")
-    for buffered in _BOTH_BUFFERINGS:
-        proc = run_cli(*argv, env=stdout_env(buffered))
-        assert proc.returncode == 1, buffered
-        assert proc.stderr.startswith(b"error: writing /dev/full: "), buffered
-        assert b"Traceback" not in proc.stderr, buffered
-
-
-_BUFFERING = pytest.mark.parametrize("buffered", _BOTH_BUFFERINGS, ids=["buffered", "unbuffered"])
-
-
-@_BUFFERING
-@pytest.mark.parametrize("argv", [("--help",), ("trajectory", "--help")], ids=" ".join)
-def test_help_into_a_closed_pipe_exits_1(argv, buffered):
-    proc = run_cli_into_closed_pipe(*argv, env=stdout_env(buffered))
-    assert (proc.returncode, proc.stderr) == (1, b"error: writing -: Broken pipe\n")
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@_BUFFERING
-@pytest.mark.parametrize("argv", [("--help",), ("self-ref-sweep", "--help")], ids=" ".join)
-def test_help_on_a_full_device_exits_1(argv, buffered):
-    # Buffered, the failed bytes stay behind for the flush at exit, which
-    # must not fail again (Python would report it and exit 120).
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualbloch", *argv], stdout=full, stderr=subprocess.PIPE,
-            env=stdout_env(buffered), timeout=60,
-        )  # fmt: skip
-    assert (proc.returncode, proc.stderr) == (1, b"error: writing -: No space left on device\n")
-
-
-@pytest.mark.parametrize("argv", [("--help",), ("self-ref-sweep", "--help")], ids=" ".join)
-def test_help_that_is_written_exits_0(argv):
-    proc = run_cli(*argv)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout.startswith(b"usage: dualbloch")
 
 
 # ---------------------------------------------------------------- determinism

@@ -8,18 +8,8 @@ import pytest
 
 from dualbloch._kernel import bloch_vector, normalized, unit_axis
 
-from goldens import (
-    _GENERIC_AXIS,
-    _GENERIC_INPUT,
-    CASES,
-    GOLDEN,
-    LONG_OUTPUT,
-    SHORT_OUTPUT,
-    USAGE_ERROR,
-    check,
-    check_exit_codes,
-    regenerate,
-)
+from goldens import _GENERIC_AXIS, _GENERIC_INPUT, CASES, CONTRACT, GOLDEN, check
+from goldens import check_contract, regenerate
 from helpers import run_cli
 
 
@@ -120,28 +110,13 @@ def test_regenerate_without_numpy_leaves_only_that_file_alone(
         assert written == ["equiv-check.txt"]
 
 
-_VALID = ("self-ref-sweep", "--theta-steps", "2", "--delta-steps", "2")
-
-
-@pytest.mark.parametrize(
-    "usage_error, long_output, short_output, verdicts",
-    [
-        (USAGE_ERROR, LONG_OUTPUT, SHORT_OUTPUT, ["ok", "ok", "ok", "ok"]),
-        (_VALID, LONG_OUTPUT, SHORT_OUTPUT, ["FAILED: exit 0", "ok", "ok", "ok"]),
-        (USAGE_ERROR, USAGE_ERROR, SHORT_OUTPUT, ["ok", "FAILED: exit 2", "ok", "FAILED: exit 2"]),
-        (USAGE_ERROR, LONG_OUTPUT, USAGE_ERROR, ["ok", "ok", "FAILED: exit 2", "ok"]),
-    ],
-    ids=["contract", "no-usage-error", "no-output", "no-write"],
-)
-def test_check_exit_codes(usage_error, long_output, short_output, verdicts, capsys):
-    failed = verdicts != ["ok"] * 4
-    assert check_exit_codes(usage_error, long_output, short_output) == failed
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(": ", 1)[0] for line in lines] == [
-        "usage error exits 2",
-        "closed pipe exits 1",
-        "closed stdout exits 1",
-        "interrupt exits by SIGINT",
-    ]
-    for line, verdict in zip(lines, verdicts):
-        assert line.split(": ", 1)[1].startswith(verdict), line
+def test_contract_check_skips_what_it_cannot_run_and_fails_a_wrong_row(monkeypatch, capsys):
+    monkeypatch.setattr("goldens.find_spec", lambda name: None)  # as on a bare interpreter
+    usage_error = CONTRACT["usage-error"]
+    wrong = [(field, usage_error._replace(**{field: value}), False)
+             for field, value in (("code", 0), ("err", b""), ("out", b"usage"))]  # fmt: skip
+    assert check_contract([("no-numpy", CONTRACT["equiv-check-closed-pipe"], True), *wrong]) == 1
+    skipped, *failed = capsys.readouterr().out.splitlines()
+    assert skipped == "no-numpy: skipped, needs numpy"  # not passed
+    verdicts = [line.split(": ", 2)[:2] for line in failed]
+    assert verdicts == [["code", "FAILED"], ["err", "FAILED"], ["out", "FAILED"]]

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualbloch import halting
 from dualbloch.bloch import (
@@ -26,7 +28,7 @@ from dualbloch.halting import (
 from dualbloch.pictures import EvolutionSpec, Picture, trajectory
 from dualbloch.su2 import SIGMA_X, make_unitary
 
-from matrices import CORNER_ANGLES, CORNERS, bits, near_unit_vector
+from matrices import CORNER_ANGLES, CORNERS, ORACLE_ANGLES, bits, near_unit_vector
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -305,6 +307,16 @@ def test_closed_form_matches_both_examples_and_randoms():
         got = self_reference(axis, delta, basis).discrepancy_angle
         worst = max(worst, abs(got - discrepancy_closed_form(theta, delta)))
     assert worst < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, math.pi), delta=ORACLE_ANGLES)
+def test_the_sweep_gap_is_within_a_few_ulps_of_the_closed_form(theta, delta):
+    # The gap as self-ref-sweep computes it.  Criterion 7 allows 1e-12; the
+    # worst measured is 8.9e-16 (10^5 draws), so a slip of ~20 ulps fails here.
+    basis = (math.sin(theta), 0.0, math.cos(theta))
+    gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
+    assert abs(gap - discrepancy_closed_form(theta, delta)) <= 2e-15
 
 
 def test_discrepancy_invariant_under_joint_rotation():
