@@ -1,6 +1,8 @@
 """The entry point of `python -m dualbloch` and of the `dualbloch` script.
-run() owns every process-wide effect, so that cli.main stays a plain function."""
+run() owns every process-wide effect (one BLAS thread, a failing stream sent to
+devnull, death by SIGINT, gc.freeze() after main), so cli.main stays plain."""
 
+import gc
 import os
 import sys
 
@@ -20,6 +22,7 @@ def run() -> int:
                 devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit succeeds
                 os.dup2(devnull, stream.fileno())
                 os.close(devnull)
+        gc.freeze()  # exit's collections skip what lives; os._exit would skip atexit
         return code
     except KeyboardInterrupt:
         from . import _report

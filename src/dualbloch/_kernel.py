@@ -4,8 +4,8 @@ angle, transport, expectation and grids.  A vector is a float triple; a
 rejected input raises a ValueError that names it.
 
 Every vector a validator returns is a fixed point of all three validators:
-a vector of unit norm to within one ulp comes back bit for bit, so checking
-a vector twice gives the bits of checking it once.
+a float tuple of unit norm to within one ulp comes back as the same object,
+so checking a vector twice gives the bits of checking it once.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _finite(value, name: str) -> float:
 def _unit3(components, name: str, slack: float | None) -> tuple[float, float, float]:
     """Validate a list, tuple or shape-(3,) array of three real numbers (else
     raise ValueError, calling no float()) and return it scaled to unit norm, or
-    as it is when its norm is already 1 to within one ulp.  With slack=None
-    any nonzero finite vector passes; otherwise its norm must lie within
-    slack of 1.  math.hypot scales internally, so the norm is inf only for
-    non-finite input or a true norm beyond the largest float, and only then
-    are the components inspected.
+    as a plain float tuple when its norm is 1 to within one ulp: a validator's
+    output comes back as the same object.  With slack=None any nonzero finite
+    vector passes; otherwise its norm must lie within slack of 1.  math.hypot
+    scales internally, so the norm is inf only for non-finite input or a true
+    norm beyond the largest float, and only then are the components inspected.
     """
     if not (type(components) is tuple and len(components) == 3):  # what validators return
         shape = getattr(components, "shape", None)  # a tuple subclass comes here too
@@ -55,14 +55,17 @@ def _unit3(components, name: str, slack: float | None) -> tuple[float, float, fl
             components = components.tolist()
         elif not isinstance(components, (list, tuple)) or len(components) != 3:
             raise ValueError(f"{name} must be a 3-vector, got {components!r:.40}")
+        components = tuple(components)
     x, y, z = components
     if not (type(x) is float and type(y) is float and type(z) is float):
         import numbers  # only components that are not floats need it
 
         if not all(isinstance(c, numbers.Real) for c in components):
             raise ValueError(f"{name} must be a 3-vector of real numbers")
-        x, y, z = (_finite(c, f"{name} components") for c in components)
+        components = x, y, z = tuple(_finite(c, f"{name} components") for c in components)
     norm = math.hypot(x, y, z)
+    if abs(norm - 1.0) <= sys.float_info.epsilon:  # unit, so finite and within any slack
+        return components
     if not math.isfinite(norm) and not all(map(math.isfinite, (x, y, z))):
         raise ValueError(f"{name} components must be finite")
     if slack is None:
@@ -71,12 +74,9 @@ def _unit3(components, name: str, slack: float | None) -> tuple[float, float, fl
         if not sys.float_info.min <= norm < math.inf:
             # Past the largest float, or subnormal: rescale, then measure.
             m = max(abs(x), abs(y), abs(z))
-            x, y, z = x / m, y / m, z / m
-            norm = math.hypot(x, y, z)
+            return _unit3((x / m, y / m, z / m), name, None)  # a norm in [1, sqrt(3)]
     elif abs(norm - 1.0) >= slack:
         raise ValueError(f"{name} norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3g}")
-    if abs(norm - 1.0) <= sys.float_info.epsilon:
-        return x, y, z
     return x / norm, y / norm, z / norm
 
 

@@ -73,20 +73,21 @@ def _rotation_of(u) -> tuple[float, ...]:
     if u.shape != (2, 2):
         raise ValueError(f"matrix must be 2x2, got shape {u.shape}")
     (a, b), (c, d) = u.tolist()
-    n0 = (a * a.conjugate() + b * b.conjugate()).real
-    n1 = (c * c.conjugate() + d * d.conjugate()).real
-    overlap = abs(a * c.conjugate() + b * d.conjugate())
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    re_ac, re_bd = ar * cr + ai * ci, br * dr + bi * di  # the real parts of a c*, b d*
+    im_ca, im_db = ar * ci - ai * cr, br * di - bi * dr  # of c a*, d b*
+    n0, n1, overlap = aa + bb, cc + dd, math.hypot(re_ac + re_bd, im_ca + im_db)
     if not (abs(n0 - 1.0) < NORM_SLACK and abs(n1 - 1.0) < NORM_SLACK and overlap < NORM_SLACK):
         raise ValueError(f"matrix is not unitary: row norms^2 {n0!r}, {n1!r}, overlap {overlap!r}")
-    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     re_ad = ar * dr + ai * di  # the real part of a d*
     re_bc = br * cr + bi * ci
     im_bc = bi * cr - br * ci
     return (
-        re_ad + re_bc, (ai * dr - ar * di) - im_bc, (ar * cr + ai * ci) - (br * dr + bi * di),
-        (ar * di - ai * dr) - im_bc, re_ad - re_bc, (ar * ci - ai * cr) - (br * di - bi * dr),
+        re_ad + re_bc, (ai * dr - ar * di) - im_bc, re_ac - re_bd,
+        (ar * di - ai * dr) - im_bc, re_ad - re_bc, im_ca - im_db,
         (ar * br + ai * bi) - (cr * dr + ci * di), (ai * br - ar * bi) - (ci * dr - cr * di),
-        0.5 * (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2),
+        0.5 * (aa - bb - cc + dd),
     )  # fmt: skip
 
 

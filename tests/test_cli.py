@@ -146,6 +146,29 @@ def test_equiv_check_loads_numpy_without_a_blas_thread_pool(preset):
     assert proc.stdout == b"1\n"
 
 
+_FREEZE = """
+import contextlib, gc, io, sys
+from dualbloch import cli
+from dualbloch.__main__ import run
+
+argv = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    after_main = gc.get_freeze_count()
+    sys.argv = ["dualbloch", *argv]
+    assert run() == 0
+print(after_main, gc.get_freeze_count() > 0)
+"""
+
+
+def test_only_the_process_entry_point_freezes_the_heap():
+    # gc.freeze() after main lets the collections at interpreter exit skip
+    # every object alive by then; cli.main, a plain function, freezes nothing.
+    proc = subprocess.run([sys.executable, "-c", _FREEZE], capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"0 True\n"
+
+
 def test_main_leaves_the_environment_as_it_found_it():
     before = dict(os.environ)
     with contextlib.redirect_stdout(io.StringIO()):
