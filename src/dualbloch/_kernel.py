@@ -6,23 +6,18 @@ rejected input raises a ValueError that names it.
 Every vector a validator returns is a fixed point of all three validators:
 a float tuple of unit norm to within one ulp comes back as the same object,
 so checking a vector twice gives the bits of checking it once.
+
+The module holds no state, and its private builders check nothing: they
+take inputs that a public function has checked.
 """
 
 from __future__ import annotations
 
-import _thread
 import math
-import struct
 import sys
 from collections.abc import Iterator
 
 NORM_SLACK = 1e-6  # constructors renormalize within this, reject anything worse
-_SO3_MEMO_SIZE = 1024  # rotations _so3 keeps, ~0.44 MB when full
-
-_so3_memo: dict[bytes, tuple[float, ...]] = {}
-_so3_key = struct.Struct("4d").pack
-# The type threading.Lock returns, without importing threading at start-up.
-_so3_lock = _thread.allocate_lock()  # makes the size check and the insert one step
 
 
 def _finite(value, name: str) -> float:
@@ -103,15 +98,14 @@ def normalized(components) -> tuple[float, float, float]:
     return _unit3(components, "vector", None)
 
 
-def _axis_rotation(axis, angle) -> tuple[float, ...]:
+def _axis_rotation(axis, angle: float) -> tuple[float, ...]:
     """The SO(3) matrix of su2.make_unitary(axis, angle), for an axis that
-    unit_axis returned: bloch._rotation_of that unitary bit for bit, signs of
-    zero included.  Up to sign, each term there is one of ten products, as
-    (-s) * x == -(s * x) and p * q == q * p exactly; each entry keeps its
-    expression tree and only shares them.  abs(complex(p, q)) is libm's
-    hypot(p, q), which math.hypot is not."""
+    unit_axis returned and a finite float angle: bloch._rotation_of that
+    unitary bit for bit, signs of zero included.  Up to sign, each term there
+    is one of ten products, as (-s) * x == -(s * x) and p * q == q * p
+    exactly; each entry keeps its expression tree and only shares them.
+    abs(complex(p, q)) is libm's hypot(p, q), which math.hypot is not."""
     x, y, z = axis
-    angle = _finite(angle, "angle")
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     sx, sy, sz = s * x, s * y, s * z
     cx, cy, cz = c * sx, c * sy, c * sz
@@ -124,26 +118,6 @@ def _axis_rotation(axis, angle) -> tuple[float, ...]:
         (-cy + xz) - (cy - xz), (yz + cx) - (-cx - yz),
         0.5 * (a2 - b2 - b2 + a2),
     )  # fmt: skip
-
-
-def _so3(axis, angle) -> tuple[float, ...]:
-    """_axis_rotation(axis, angle) for an axis that unit_axis returned,
-    remembered for the first _SO3_MEMO_SIZE distinct inputs; later ones are
-    computed and not kept.  Keeping the first entries, not the latest, makes
-    every row of a row-major sweep hit however long it is.  The key is the
-    exact bits of the axis and the angle: ==, which has -0.0 == 0.0, would
-    hand one sign of zero the matrix whose bits belong to the other.  A hit,
-    a key pack and a lookup, takes under a third of the time of a build.
-    """
-    angle = _finite(angle, "angle")
-    key = _so3_key(*axis, angle)
-    r = _so3_memo.get(key)
-    if r is None:
-        r = _axis_rotation(axis, angle)
-        with _so3_lock:
-            if len(_so3_memo) < _SO3_MEMO_SIZE:
-                _so3_memo[key] = r
-    return r
 
 
 def _transport(r: tuple[float, ...], v: tuple[float, float, float], inverse: bool):

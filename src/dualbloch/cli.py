@@ -20,8 +20,8 @@ import re
 import sys
 
 from . import _report
-from ._kernel import _SO3_MEMO_SIZE, _linspace, expectation, normalized
-from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
+from ._kernel import _linspace, expectation, normalized
+from .halting import _SO3_MEMO_SIZE, FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
 EQUIV_THRESHOLD = 1e-12
@@ -153,7 +153,7 @@ def cmd_self_ref_sweep(args) -> int:
         return ((delta, format(delta, REAL)) for delta in deltas)
 
     # _linspace gives a delta the same bits on every row: the columns whose
-    # rotations _so3 keeps keep their text too, and later ones are made per row.
+    # rotations self_reference keeps keep their text too, and later ones are made per row.
     head = list(itertools.islice(columns(0), _SO3_MEMO_SIZE))
 
     def rows():  # row-major, computed as they are written

@@ -13,17 +13,24 @@ angle is a multiple of pi, and nowhere else.  Vectors are float triples.
 
 from __future__ import annotations
 
+import _thread
 import math
+import struct
 from collections import namedtuple
 
-from ._kernel import _axis_rotation, _finite, _so3, _transport, bloch_vector
-from ._kernel import expectation, unit_axis
+from ._kernel import _axis_rotation, _finite, _transport, bloch_vector, expectation, unit_axis
 from .pictures import Picture
 
 HALT_POLE = (0.0, 0.0, 1.0)
 _FLIP = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)  # the SO(3) matrix of SIGMA_X
 
 FIXED_POINT_TOL = 1e-9  # default angular tolerance for classifying agreement
+
+_SO3_MEMO_SIZE = 1024  # rotations self_reference keeps, ~0.44 MB when full
+_so3_memo: dict[bytes, tuple[float, ...]] = {}
+_so3_key = struct.Struct("4d").pack
+# The type threading.Lock returns, without importing threading at start-up.
+_so3_lock = _thread.allocate_lock()  # makes the size check and the insert one step
 
 
 class HaltingMachine(namedtuple("HaltingMachine", "axis angle system system_basis")):
@@ -100,11 +107,23 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     true in both pictures regardless.  One SO(3) matrix R gives both: R b
     and R^T b, the transports of rotate_state and rotate_observable.
 
-    R comes from a memo of the first 1024 (axis, angle) inputs of the
-    process, keyed by their exact bits; _axis_rotation builds it on a miss.
-    A sweep builds each delta's R once, and the memo stays at ~0.44 MB.
+    R comes from a memo of the first _SO3_MEMO_SIZE distinct (axis, angle)
+    inputs of the process; _axis_rotation builds a later one afresh and it
+    is not kept.  Keeping the first entries, not the latest, makes every row
+    of a row-major sweep hit however long it is, so a sweep builds each
+    delta's R once.  The key is the exact bits of the checked axis and
+    angle: ==, which has -0.0 == 0.0, would hand one sign of zero the matrix
+    whose bits belong to the other.  A hit, a key pack and a lookup, takes
+    under a third of the time of a build.
     """
-    r = _so3(unit_axis(axis), angle)
+    axis, angle = unit_axis(axis), _finite(angle, "angle")
+    key = _so3_key(*axis, angle)
+    r = _so3_memo.get(key)
+    if r is None:
+        r = _axis_rotation(axis, angle)
+        with _so3_lock:
+            if len(_so3_memo) < _SO3_MEMO_SIZE:
+                _so3_memo[key] = r
     basis = bloch_vector(basis)
     s0, s1, s2 = schrodinger_output = _transport(r, basis, inverse=False)
     h0, h1, h2 = heisenberg_output = _transport(r, basis, inverse=True)

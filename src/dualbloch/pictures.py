@@ -60,7 +60,7 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     result is rotate_state (Schrodinger) or rotate_observable (Heisenberg)
     of make_unitary(axis, rate * t), bit for bit, as a float triple.
     """
-    r = _axis_rotation(spec.axis, spec.rate * _finite(t, "t"))
+    r = _axis_rotation(spec.axis, _finite(spec.rate * _finite(t, "t"), "angle"))
     inverse = spec.picture is not Picture.SCHRODINGER
     return _transport(r, bloch_vector(vector), inverse)
 

@@ -8,13 +8,14 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import _kernel, cli, halting
+from dualbloch import cli, halting
 from goldens import RUNS, contract_verdict
 from helpers import cli_env, run_cli
 
@@ -40,10 +41,27 @@ def _jsonl_rows(stdout: bytes):
     return [json.loads(line) for line in stdout.decode().strip().splitlines()]
 
 
-def _assert_usage_error(proc):
-    """Exit 2 in argparse's shape, reported by the parser of the command run."""
-    command = proc.args[3]  # after "python -m dualbloch"
-    assert proc.returncode == 2
+_Run = namedtuple("_Run", "args returncode stdout stderr exited")
+
+
+def _main(*argv) -> _Run:
+    """cli.main run on argv in this process, for what main decides: its exit
+    code, returned or raised (then exited is true), and what it wrote to
+    stdout and stderr, as bytes.  tests/goldens.py checks the process."""
+    argv = [str(a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, exited = cli.main(argv), False
+        except SystemExit as exc:
+            code, exited = exc.code, True
+    return _Run(argv, code, out.getvalue().encode(), err.getvalue().encode(), exited)
+
+
+def _assert_usage_error(proc: _Run):
+    """SystemExit(2) in argparse's shape, reported by the parser of the command run."""
+    command = proc.args[0]
+    assert proc.exited and proc.returncode == 2
     assert proc.stderr.startswith(f"usage: dualbloch {command}".encode()), proc.stderr
     assert f"dualbloch {command}: error: ".encode() in proc.stderr
     assert b"Traceback" not in proc.stderr
@@ -106,9 +124,9 @@ print(*(m in sys.modules for m in ("threading", "numbers", "signal")))
 
 
 def test_the_numpy_free_commands_import_no_threading_numbers_or_signal():
-    # Under -S, since a site hook may import them first: the rotation memo's
-    # lock comes from _thread, numbers serves only components that are not
-    # floats, and signal only an interrupted run.
+    # Under -S, since a site hook may import them first: the lock of
+    # self_reference's rotation memo comes from _thread, numbers serves only
+    # components that are not floats, and signal only an interrupted run.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _COLD_START], capture_output=True, env=cli_env()
     )
@@ -203,11 +221,11 @@ def test_equiv_check_single_trial():
 
 
 def test_equiv_check_zero_trials_is_usage_error():
-    _assert_usage_error(run_cli("equiv-check", "--trials", 0, "--seed", 7))
+    _assert_usage_error(_main("equiv-check", "--trials", 0, "--seed", 7))
 
 
 def test_equiv_check_requires_a_seed():
-    _assert_usage_error(run_cli("equiv-check", "--trials", 10))
+    _assert_usage_error(_main("equiv-check", "--trials", 10))
 
 
 # --------------------------------------------------------------- halting-demo
@@ -258,7 +276,7 @@ def test_halting_demo_degrees_flag():
 
 
 def test_halting_demo_rejects_reversed_picture():
-    proc = run_cli(
+    proc = _main(
         "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "heisenberg-reversed",
     )
@@ -266,11 +284,11 @@ def test_halting_demo_rejects_reversed_picture():
 
 
 def test_halting_demo_rejects_unknown_picture_and_zero_vectors():
-    _assert_usage_error(run_cli(
+    _assert_usage_error(_main(
         "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "interaction",
     ))
-    proc = run_cli(
+    proc = _main(
         "halting-demo", "--axis", 0, 0, 0, "--delta", 1,
         "--system", 0, 0, 1, "--picture", "schrodinger",
     )
@@ -430,7 +448,7 @@ def test_sweep_output_file_matches_stdout(tmp_path):
 def _sweep_peak(tmp_path, theta_steps: int, delta_steps: int) -> int:
     """tracemalloc's peak over an in-process sweep to a file, from an empty
     memo of rotations."""
-    _kernel._so3_memo.clear()
+    halting._so3_memo.clear()
     argv = ["self-ref-sweep", "--theta-steps", str(theta_steps),
             "--delta-steps", str(delta_steps), "--output", str(tmp_path / "sweep.csv")]  # fmt: skip
     tracemalloc.start()
@@ -450,8 +468,8 @@ def test_sweep_streams_its_rows(tmp_path):
 
 def test_a_sweep_wider_than_the_rotation_memo_stays_flat(tmp_path):
     # self_reference's memo stops at its bound, so deltas past it add nothing.
-    peak = _sweep_peak(tmp_path, 3, _kernel._SO3_MEMO_SIZE + 50)
-    assert len(_kernel._so3_memo) == _kernel._SO3_MEMO_SIZE
+    peak = _sweep_peak(tmp_path, 3, halting._SO3_MEMO_SIZE + 50)
+    assert len(halting._so3_memo) == halting._SO3_MEMO_SIZE
     assert peak < 1_000_000
 
 
@@ -474,7 +492,7 @@ def _sweep_cells(fmt, theta_range, delta_range, theta_steps, delta_steps):
 
 
 def test_sweep_wider_than_the_column_cache_matches_a_per_cell_formatter():
-    # Columns past _SO3_MEMO_SIZE are formatted row by row, the rest once per run.
+    # Columns past halting._SO3_MEMO_SIZE are formatted row by row, the rest once per run.
     proc = run_cli("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 1100, "--degrees",
                    "--theta-range", -10, 190, "--delta-range", -400, 400)  # fmt: skip
     assert proc.returncode == 0, proc.stderr
@@ -527,7 +545,7 @@ def test_trajectory_streams_its_rows(tmp_path):
     ],
 )
 def test_sweep_usage_errors(extra):
-    _assert_usage_error(run_cli("self-ref-sweep", *extra))
+    _assert_usage_error(_main("self-ref-sweep", *extra))
 
 
 _TRAJECTORY = ("trajectory", "--picture", "schrodinger", "--input", "0", "0", "1",
@@ -559,7 +577,7 @@ _HALTING = ("halting-demo", "--system", "0", "0", "1", "--picture", "schrodinger
 )  # fmt: skip
 def test_negative_values_in_exponent_form_reach_the_type_check(argv, code, message):
     # argparse's own pattern reads "-1e-3" and "-inf" as option strings.
-    proc = run_cli(*argv)
+    proc = _main(*argv)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert b"expected" not in proc.stderr
@@ -580,7 +598,7 @@ def test_negative_values_in_exponent_form_reach_the_type_check(argv, code, messa
     ],
 )
 def test_nonfinite_or_out_of_range_input_is_a_usage_error(argv):
-    _assert_usage_error(run_cli(*argv))
+    _assert_usage_error(_main(*argv))
 
 
 @pytest.mark.parametrize(
@@ -593,7 +611,7 @@ def test_nonfinite_or_out_of_range_input_is_a_usage_error(argv):
     ],
 )
 def test_huge_axis_components_are_normalized_without_overflow(argv):
-    proc = run_cli(*argv)
+    proc = _main(*argv)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -643,9 +661,9 @@ def test_trajectory_jsonl_matches_csv():
 
 def test_trajectory_usage_errors():
     common = ("--picture", "schrodinger", "--axis", 0, 1, 0, "--input", 0, 0, 1)
-    _assert_usage_error(run_cli("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
-    _assert_usage_error(run_cli("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
-    proc = run_cli("trajectory", *common, "--t-start", -1e308, "--t-end", 1e308, "--steps", 5)
+    _assert_usage_error(_main("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
+    _assert_usage_error(_main("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
+    proc = _main("trajectory", *common, "--t-start", -1e308, "--t-end", 1e308, "--steps", 5)
     _assert_usage_error(proc)
     assert b"finite width" in proc.stderr
 

@@ -1,3 +1,4 @@
+import _thread
 import contextlib
 import io
 import math
@@ -87,6 +88,7 @@ _AXIS = (0.0, 1.0, 0.0)
         ),
         (lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), [_HUGE]), "t"),
         (lambda: bloch.rodrigues(_AXIS, _HUGE, (0, 0, 1)), "angle"),
+        (lambda: halting.self_reference(_AXIS, _HUGE, (0, 0, 1)), "angle"),
     ],
     ids=[
         "unit_axis",
@@ -97,6 +99,7 @@ _AXIS = (0.0, 1.0, 0.0)
         "trajectory",
         "reversed_label_equivalence",
         "rodrigues",
+        "self_reference",
     ],
 )
 def test_huge_integers_raise_the_validators_error(call, name):
@@ -165,6 +168,10 @@ _REJECTED = {
     "grid": (
         lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), []),
         "time grid must be non-empty",
+    ),
+    "evolve-angle": (  # finite t, but rate * t overflows
+        lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS, 1e300), (0, 0, 1), 1e300),
+        "angle must be finite",
     ),
     "self_reference-angle": (
         lambda: halting.self_reference(_AXIS, math.inf, (0, 0, 1)), "angle must be finite"
@@ -405,12 +412,11 @@ def _fresh_outputs_bits(axis, angle, basis) -> bytes:
     return _outputs_bits(_kernel._transport(r, basis, False), _kernel._transport(r, basis, True))
 
 
-def _counting_rotation(monkeypatch, *modules):
-    """A list that gets the (axis, angle) of each SO(3) matrix the modules build."""
+def _counting_rotation(monkeypatch):
+    """A list that gets the (axis, angle) of each SO(3) matrix halting builds."""
     built = []
     rotation = _kernel._axis_rotation
-    for module in modules:
-        monkeypatch.setattr(module, "_axis_rotation", lambda *u: built.append(u) or rotation(*u))
+    monkeypatch.setattr(halting, "_axis_rotation", lambda *u: built.append(u) or rotation(*u))
     return built
 
 
@@ -420,7 +426,7 @@ def _counting_rotation(monkeypatch, *modules):
 def test_self_reference_returns_the_bits_of_a_rotation_built_afresh(axis, angle, basis):
     # With every zero made +0.0 first: a memo keyed on ==, where -0.0 == 0.0,
     # would hand the drawn signs the +0.0 matrix, whose bits can differ.
-    _kernel._so3_memo.clear()
+    halting._so3_memo.clear()
     plus = (tuple(c if c else 0.0 for c in axis), angle if angle else 0.0)
     for axis, angle in (plus, (axis, angle)):
         fresh = _fresh_outputs_bits(axis, angle, basis)
@@ -431,8 +437,8 @@ def test_self_reference_returns_the_bits_of_a_rotation_built_afresh(axis, angle,
 
 @pytest.mark.parametrize("delta_steps", [2, 7])
 def test_a_sweep_builds_each_delta_rotation_once(monkeypatch, delta_steps):
-    _kernel._so3_memo.clear()
-    built = _counting_rotation(monkeypatch, _kernel, halting)
+    halting._so3_memo.clear()
+    built = _counting_rotation(monkeypatch)
     argv = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", str(delta_steps)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
@@ -442,21 +448,21 @@ def test_a_sweep_builds_each_delta_rotation_once(monkeypatch, delta_steps):
 def test_the_memo_keeps_its_first_entries_and_no_more(monkeypatch):
     # Not the latest: a row-major sweep asks for its deltas in the same order
     # on every row, so a memo that kept the latest would miss every one.
-    _kernel._so3_memo.clear()
-    size = _kernel._SO3_MEMO_SIZE
+    halting._so3_memo.clear()
+    size = halting._SO3_MEMO_SIZE
     for k in range(size + 10):
         halting.self_reference(_AXIS, float(k), (0, 0, 1))
-    assert len(_kernel._so3_memo) == size
-    built = _counting_rotation(monkeypatch, _kernel)
+    assert len(halting._so3_memo) == size
+    built = _counting_rotation(monkeypatch)
     for k in (0, size - 1, size, size + 20):
         halting.self_reference(_AXIS, float(k), (0, 0, 1))
     assert len(built) == 2  # size and size + 20
-    assert len(_kernel._so3_memo) == size
+    assert len(halting._so3_memo) == size
 
 
 def test_threads_never_push_the_memo_past_its_bound():
-    _kernel._so3_memo.clear()
-    size = _kernel._SO3_MEMO_SIZE
+    halting._so3_memo.clear()
+    size = halting._SO3_MEMO_SIZE
 
     def fill(start):
         for k in range(start, start + size):
@@ -473,20 +479,28 @@ def test_threads_never_push_the_memo_past_its_bound():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(_kernel._so3_memo) == size
+    assert len(halting._so3_memo) == size
 
 
 def test_only_self_reference_fills_the_memo():
-    _kernel._so3_memo.clear()
+    halting._so3_memo.clear()
     for picture in (pictures.Picture.SCHRODINGER, pictures.Picture.HEISENBERG):
         halting.run(_Z_MACHINE, picture)
     for picture in pictures.Picture:
         spec = pictures.EvolutionSpec(_AXIS, 1.0, picture)
         pictures.evolve(spec, (0, 0, 1), 0.5)
         list(pictures.trajectory(spec, (0, 0, 1), 0.0, 1.0, 5))
-    assert not _kernel._so3_memo
+    assert not halting._so3_memo
     halting.self_reference(_AXIS, 0.5, (0, 0, 1))
-    assert len(_kernel._so3_memo) == 1
+    assert len(halting._so3_memo) == 1
+
+
+def test_the_kernel_holds_no_state():
+    # The memo is self_reference's: nothing in the kernel outlives a call.
+    mutable = (dict, list, set, type(threading.Lock()), type(threading.RLock()))
+    names = {k: v for k, v in vars(_kernel).items() if not k.startswith("__")}
+    assert [k for k, v in names.items() if isinstance(v, mutable)] == []
+    assert [k for k, v in names.items() if v is _thread or v is struct] == []
 
 
 # ------------------------------------------------------ the axis-angle kernel
