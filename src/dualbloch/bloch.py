@@ -145,7 +145,7 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     a, b, c, d = rng.normal(size=4).tolist()
     norm = math.hypot(a, b, c, d)
     a, b, c, d = a / norm, b / norm, c / norm, d / norm
-    return np.array([[complex(a, b), complex(c, d)], [complex(-c, d), complex(a, -b)]])
+    return np.array((a, b, c, d, -c, d, a, -b)).view(complex).reshape(2, 2)
 
 
 def random_unit_vector(rng: np.random.Generator) -> tuple[float, float, float]:

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import _report
-from ._kernel import _linspace, expectation, normalized
+from ._kernel import _linspace, _transport, bloch_vector, expectation, normalized
 from .halting import _SO3_MEMO_SIZE, FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
@@ -105,7 +105,7 @@ def _write(path: str, lines) -> int:
 def cmd_equiv_check(args) -> int:
     try:
         import numpy as np
-        from .bloch import haar_random_unitary, random_unit_vector, rotate_observable, rotate_state
+        from .bloch import _rotation_of, haar_random_unitary, random_unit_vector
     except ImportError as exc:
         _report(f"error: equiv-check needs numpy: {exc}")
         return 1
@@ -113,11 +113,14 @@ def cmd_equiv_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
     for _ in range(args.trials):
-        u = haar_random_unitary(rng)
+        # The bodies of rotate_state(u, v) and rotate_observable(u, e), on one R.
+        r = _rotation_of(haar_random_unitary(rng))
         e = random_unit_vector(rng)
         v = random_unit_vector(rng)
-        dev = abs(expectation(e, rotate_state(u, v)) - expectation(rotate_observable(u, e), v))
-        max_dev = max(max_dev, dev)
+        state = _transport(r, bloch_vector(v), False)
+        dev = abs(expectation(e, state) - expectation(_transport(r, bloch_vector(e), True), v))
+        if dev > max_dev or dev != dev:  # a NaN sticks: max() would drop it
+            max_dev = dev
     ok = max_dev < EQUIV_THRESHOLD
     line = (
         f"max deviation {max_dev:.3e} over {args.trials} trials (seed {args.seed}, rng PCG64): "

@@ -52,7 +52,8 @@ def test_criterion_01_picture_equivalence():
         e = random_unit_vector(rng)
         v = random_unit_vector(rng)
         gap = abs(expectation(e, rotate_state(u, v)) - expectation(rotate_observable(u, e), v))
-        worst = max(worst, gap)
+        if gap > worst or gap != gap:  # a NaN sticks: max() would drop it
+            worst = gap
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     assert _verdict(1, "picture equivalence over 1000 Haar trials", ok,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -357,15 +358,13 @@ def test_rodrigues_rejects_a_non_finite_angle(angle):
 
 def test_expectation_agrees_across_pictures_haar():
     rng = np.random.default_rng(38)
-    worst = 0.0
     for _ in range(1000):
         u = haar_random_unitary(rng)
         e = random_unit_vector(rng)
         v = random_unit_vector(rng)
         schrodinger = expectation(e, rotate_state(u, v))
         heisenberg = expectation(rotate_observable(u, e), v)
-        worst = max(worst, abs(schrodinger - heisenberg))
-    assert worst < 1e-12
+        assert abs(schrodinger - heisenberg) < 1e-12  # per trial: a max() would drop a NaN
 
 
 def test_haar_random_unitary_is_special_unitary():
@@ -374,6 +373,49 @@ def test_haar_random_unitary_is_special_unitary():
         u = haar_random_unitary(rng)
         assert float(np.max(np.abs(u @ u.conj().T - IDENTITY))) < 1e-12
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
+
+
+def _nested_haar(a, b, c, d):
+    """haar_random_unitary's matrix from four normals, built as nested complex()s."""
+    norm = math.hypot(a, b, c, d)
+    a, b, c, d = a / norm, b / norm, c / norm, d / norm
+    return np.array([[complex(a, b), complex(c, d)], [complex(-c, d), complex(a, -b)]])
+
+
+def _assert_haar_bytes(u, want):
+    assert u.dtype == np.complex128 and u.shape == (2, 2)
+    assert u.flags.c_contiguous and u.flags.writeable
+    assert u.tobytes() == want.tobytes()
+
+
+def test_haar_random_unitary_has_the_bytes_of_nested_complexes():
+    rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(2000):
+        _assert_haar_bytes(haar_random_unitary(rng), _nested_haar(*twin.normal(size=4).tolist()))
+    assert rng.normal() == twin.normal()  # four normals a draw, no more
+
+
+class _StubRng:
+    """Hands out fixed normals, so that a draw can hold signed zeros."""
+
+    def __init__(self, normals):
+        self.normals, self.sizes = normals, []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return np.array(self.normals)
+
+
+def test_haar_random_unitary_keeps_signed_zeros():
+    # one nonzero of either sign in each place, every sign on the three zeros
+    for place, one, zeros in itertools.product(
+        range(4), (1.0, -2.5), itertools.product((0.0, -0.0), repeat=3)
+    ):
+        normals = list(zeros)
+        normals.insert(place, one)
+        stub = _StubRng(normals)
+        _assert_haar_bytes(haar_random_unitary(stub), _nested_haar(*normals))
+        assert stub.sizes == [4]
 
 
 def test_random_unit_vector_is_unit():

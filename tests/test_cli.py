@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import cli, halting
+from dualbloch import bloch, cli, halting
 from goldens import RUNS, contract_verdict
 from helpers import cli_env, run_cli
+from matrices import bits
 
 PI = math.pi
 
@@ -226,6 +228,54 @@ def test_equiv_check_zero_trials_is_usage_error():
 
 def test_equiv_check_requires_a_seed():
     _assert_usage_error(_main("equiv-check", "--trials", 10))
+
+
+def test_equiv_check_fails_on_a_nan_deviation(monkeypatch):
+    calls, real = itertools.count(), cli.expectation
+
+    def nan_once(e, v):  # the 11th of 40 calls, in trial 6 of 20: later trials are finite
+        return math.nan if next(calls) == 10 else real(e, v)
+
+    monkeypatch.setattr(cli, "expectation", nan_once)
+    run = _main("equiv-check", "--trials", 20, "--seed", 1)
+    assert (run.returncode, run.exited, run.stderr) == (1, False, b"")
+    assert run.stdout == (
+        b"max deviation nan over 20 trials (seed 1, rng PCG64): FAIL (threshold 1e-12)\n"
+    )
+
+
+def _counted(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        log.append((name, args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_equiv_check_builds_one_rotation_per_trial(monkeypatch):
+    log = []
+    for name in ("_rotation_of", "haar_random_unitary"):
+        _counted(monkeypatch, bloch, name, log)
+    assert _main("equiv-check", "--trials", 50, "--seed", 3).returncode == 0
+    assert [name for name, _, _ in log] == ["haar_random_unitary", "_rotation_of"] * 50
+
+
+def test_equiv_check_transports_have_the_public_functions_bits(monkeypatch):
+    log = []
+    _counted(monkeypatch, bloch, "haar_random_unitary", log)
+    _counted(monkeypatch, bloch, "random_unit_vector", log)
+    _counted(monkeypatch, cli, "_transport", log)
+    trials = 10_000
+    assert _main("equiv-check", "--trials", trials, "--seed", 2).returncode == 0
+    assert len(log) == 5 * trials
+    for i in range(0, len(log), 5):  # per trial: u, e, v, then the two transports
+        (_, _, u), (_, _, e), (_, _, v) = log[i : i + 3]
+        transports = {args[2]: out for _, args, out in log[i + 3 : i + 5]}
+        assert bits(transports[False]) == bits(bloch.rotate_state(u, v))
+        assert bits(transports[True]) == bits(bloch.rotate_observable(u, e))
 
 
 # --------------------------------------------------------------- halting-demo
