@@ -136,11 +136,34 @@ def rodrigues(axis, angle, v) -> tuple[float, float, float]:
     return tuple(vi * c + wi * s + ni * dot * (1.0 - c) for vi, wi, ni in zip(v, cross, n))
 
 
-def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
+_BLOCK = 1024  # normals per numpy call in _NormalBlocks (8 KB)
+
+
+class _NormalBlocks:
+    """rng.normal's stream, drawn _BLOCK at a time: normal(size) returns its
+    next size numbers as a float64 array slice.  Generator.normal builds
+    each number from whole 64-bit outputs and keeps no half-word, so the
+    stream has the same bits however it is cut."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._buf, self._at = rng, np.empty(0), 0
+
+    def normal(self, size: int) -> np.ndarray:
+        i = self._at
+        if i + size > len(self._buf):
+            fresh = self._rng.normal(size=max(_BLOCK, size))
+            self._buf, i = np.concatenate((self._buf[i:], fresh)), 0
+        self._at = i + size
+        return self._buf[i : i + size]
+
+
+def haar_random_unitary(rng) -> np.ndarray:
     """Haar-uniform SU(2) element drawn from a uniform unit quaternion.
 
     Four standard normals normalized to (a, b, c, d) map to
     [[a + ib, c + id], [-c + id, a - ib]], whose determinant is |q|^2 = 1.
+    rng may be anything whose normal(size=k) returns k standard normals as
+    an array, such as a numpy Generator.
     """
     a, b, c, d = rng.normal(size=4).tolist()
     norm = math.hypot(a, b, c, d)
@@ -148,8 +171,9 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     return np.array((a, b, c, d, -c, d, a, -b)).view(complex).reshape(2, 2)
 
 
-def random_unit_vector(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Uniform direction on the unit sphere (three normals, normalized)."""
+def random_unit_vector(rng) -> tuple[float, float, float]:
+    """Uniform direction on the unit sphere: three normals from rng (as for
+    haar_random_unitary), normalized; a triple of norm <= 1e-12 is redrawn."""
     while True:
         x, y, z = rng.normal(size=3).tolist()
         norm = math.hypot(x, y, z)

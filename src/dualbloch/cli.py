@@ -105,12 +105,12 @@ def _write(path: str, lines) -> int:
 def cmd_equiv_check(args) -> int:
     try:
         import numpy as np
-        from .bloch import _rotation_of, haar_random_unitary, random_unit_vector
+        from .bloch import _NormalBlocks, _rotation_of, haar_random_unitary, random_unit_vector
     except ImportError as exc:
         _report(f"error: equiv-check needs numpy: {exc}")
         return 1
 
-    rng = np.random.default_rng(args.seed)
+    rng = _NormalBlocks(np.random.default_rng(args.seed))
     max_dev = 0.0
     for _ in range(args.trials):
         # The bodies of rotate_state(u, v) and rotate_observable(u, e), on one R.

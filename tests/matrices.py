@@ -34,6 +34,12 @@ def bits(vector) -> bytes:
     return struct.pack("3d", *vector)
 
 
+def worst(values) -> float:
+    """The largest of values, or NaN when any of them is NaN: max() keeps a
+    NaN only when it comes first (max(0.0, nan) is 0.0), so it would hide one."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def is_unitary(u, tol: float = TOL_ALG) -> bool:
     """True when u is 2x2, finite, and u u+ = I within tol (entrywise)."""
     u = np.asarray(u, dtype=complex)

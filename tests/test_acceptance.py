@@ -29,7 +29,7 @@ from dualbloch.pictures import Picture, reversed_label_equivalence
 from dualbloch.su2 import adjoint, compose, make_unitary
 
 from helpers import run_cli
-from matrices import is_rotation
+from matrices import is_rotation, worst
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -46,23 +46,23 @@ def _verdict(num, name, ok, detail=""):
 def test_criterion_01_picture_equivalence():
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
-    worst = 0.0
+    gaps = []
     for _ in range(1000):
         u = haar_random_unitary(rng)
         e = random_unit_vector(rng)
         v = random_unit_vector(rng)
         gap = abs(expectation(e, rotate_state(u, v)) - expectation(rotate_observable(u, e), v))
-        if gap > worst or gap != gap:  # a NaN sticks: max() would drop it
-            worst = gap
+        gaps.append(gap)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-12 and elapsed < 1.0
+    dev = worst(gaps)
+    ok = dev < 1e-12 and elapsed < 1.0
     assert _verdict(1, "picture equivalence over 1000 Haar trials", ok,
-                    f"max dev {worst:.2e}, {elapsed:.2f}s")
+                    f"max dev {dev:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_printed_formula_conformance():
     rng = np.random.default_rng(1002)
-    worst = 0.0
+    devs = []
     for _ in range(100):
         alpha = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         v = random_unit_vector(rng)
@@ -70,41 +70,44 @@ def test_criterion_02_printed_formula_conformance():
         u = make_unitary(Y_AXIS, alpha)
         state_formula = np.array([c * v[0] + s * v[2], v[1], -s * v[0] + c * v[2]])
         obs_formula = np.array([c * v[0] - s * v[2], v[1], s * v[0] + c * v[2]])
-        worst = max(worst, float(np.max(np.abs(rotate_state(u, v) - state_formula))))
-        worst = max(worst, float(np.max(np.abs(rotate_observable(u, v) - obs_formula))))
-    ok = worst < 1e-12
+        devs.append(float(np.max(np.abs(rotate_state(u, v) - state_formula))))
+        devs.append(float(np.max(np.abs(rotate_observable(u, v) - obs_formula))))
+    dev = worst(devs)
+    ok = dev < 1e-12
     assert _verdict(2, "y-rotation component formulas, both pictures", ok,
-                    f"max dev {worst:.2e}")
+                    f"max dev {dev:.2e}")
 
 
 def test_criterion_03_conjugation_vs_rodrigues_oracle():
     rng = np.random.default_rng(1003)
     t0 = time.perf_counter()
-    worst = 0.0
+    devs = []
     for _ in range(10_000):
         axis = random_unit_vector(rng)
         angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         v = random_unit_vector(rng)
         via_conjugation = rotate_state(make_unitary(axis, angle), v)
         via_closed_form = rodrigues(axis, angle, v)
-        worst = max(worst, float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))))
+        devs.append(float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))))
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-12 and elapsed < 2.0
+    dev = worst(devs)
+    ok = dev < 1e-12 and elapsed < 2.0
     assert _verdict(3, "conjugation path vs Rodrigues closed form, 10^4 draws", ok,
-                    f"max dev {worst:.2e}, {elapsed:.2f}s")
+                    f"max dev {dev:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_04_su2_to_so3_structure():
     rng = np.random.default_rng(1004)
-    worst_hom = worst_kernel = 0.0
+    hom_devs, kernel_devs = [], []
     all_so3 = True
     for _ in range(1000):
         a = haar_random_unitary(rng)
         b = haar_random_unitary(rng)
         ra, rb = adjoint_rotation(a), adjoint_rotation(b)
         all_so3 = all_so3 and is_rotation(ra, 1e-10)
-        worst_hom = max(worst_hom, float(np.max(np.abs(adjoint_rotation(compose(a, b)) - ra @ rb))))
-        worst_kernel = max(worst_kernel, float(np.max(np.abs(ra - adjoint_rotation(-a)))))
+        hom_devs.append(float(np.max(np.abs(adjoint_rotation(compose(a, b)) - ra @ rb))))
+        kernel_devs.append(float(np.max(np.abs(ra - adjoint_rotation(-a)))))
+    worst_hom, worst_kernel = worst(hom_devs), worst(kernel_devs)
     ok = all_so3 and worst_hom < 1e-10 and worst_kernel < 1e-12
     assert _verdict(4, "SO(3) structure: homomorphism, orthogonality, kernel", ok,
                     f"hom {worst_hom:.2e}, kernel {worst_kernel:.2e}")
@@ -112,7 +115,7 @@ def test_criterion_04_su2_to_so3_structure():
 
 def test_criterion_05_halting_machine_both_pictures():
     rng = np.random.default_rng(1005)
-    worst_halt = worst_system = 0.0
+    halt_devs, system_devs = [], []
     for _ in range(1000):
         machine = HaltingMachine(
             axis=random_unit_vector(rng),
@@ -122,9 +125,9 @@ def test_criterion_05_halting_machine_both_pictures():
         )
         schro = run(machine, Picture.SCHRODINGER)
         heis = run(machine, Picture.HEISENBERG)
-        worst_halt = max(worst_halt, abs(schro.halt_expectation + 1.0),
-                         abs(heis.halt_expectation + 1.0))
-        worst_system = max(worst_system, abs(schro.system_expectation - heis.system_expectation))
+        halt_devs += [abs(schro.halt_expectation + 1.0), abs(heis.halt_expectation + 1.0)]
+        system_devs.append(abs(schro.system_expectation - heis.system_expectation))
+    worst_halt, worst_system = worst(halt_devs), worst(system_devs)
     ok = worst_halt < 1e-12 and worst_system < 1e-12
     assert _verdict(5, "halting machine: halt -1 and matching system expectation", ok,
                     f"halt dev {worst_halt:.2e}, system dev {worst_system:.2e}")
@@ -150,27 +153,28 @@ def test_criterion_06_contradiction_landscape():
 
 def test_criterion_07_closed_form_discrepancy_oracle():
     rng = np.random.default_rng(1007)
-    worst = 0.0
+    devs = []
     for _ in range(10_000):
         axis = random_unit_vector(rng)
         basis = random_unit_vector(rng)
         delta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         theta = math.atan2(float(np.linalg.norm(np.cross(axis, basis))), float(np.dot(axis, basis)))
         got = self_reference(axis, delta, basis).discrepancy_angle
-        worst = max(worst, abs(got - discrepancy_closed_form(theta, delta)))
-    ok = worst < 1e-12
+        devs.append(abs(got - discrepancy_closed_form(theta, delta)))
+    dev = worst(devs)
+    ok = dev < 1e-12
     assert _verdict(7, "self-reference matches closed-form oracle, 10^4 draws", ok,
-                    f"max dev {worst:.2e}")
+                    f"max dev {dev:.2e}")
 
 
 def test_criterion_08_time_reversal_identity():
     rng = np.random.default_rng(1008)
-    worst = 0.0
+    devs = []
     for _ in range(1000):
         axis = random_unit_vector(rng)
         t = float(rng.uniform(-3 * math.pi, 3 * math.pi))
         diff = adjoint(make_unitary(axis, t)) - make_unitary(axis, -t)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        devs.append(float(np.max(np.abs(diff))))
     all_relabeled = True
     for _ in range(100):
         axis = random_unit_vector(rng)
@@ -178,9 +182,10 @@ def test_criterion_08_time_reversal_identity():
         vector = random_unit_vector(rng)
         grid = rng.uniform(-6.0, 6.0, size=int(rng.integers(1, 12)))
         all_relabeled = all_relabeled and reversed_label_equivalence(axis, rate, vector, grid)
-    ok = worst < 1e-15 and all_relabeled
+    dev = worst(devs)
+    ok = dev < 1e-15 and all_relabeled
     assert _verdict(8, "adjoint flips the sign of time; reversed labels relabel", ok,
-                    f"max entry dev {worst:.2e}")
+                    f"max entry dev {dev:.2e}")
 
 
 def test_criterion_09_measurement_sampling():

@@ -1,10 +1,13 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from dualbloch.bloch import (
+    _BLOCK,
+    _NormalBlocks,
     adjoint_rotation,
     bloch_vector,
     density_to_state,
@@ -28,7 +31,7 @@ from dualbloch.su2 import (
     make_unitary,
 )
 
-from matrices import is_rotation
+from matrices import bits, is_rotation
 
 Y_AXIS = (0.0, 1.0, 0.0)
 Z = np.array([0.0, 0.0, 1.0])
@@ -396,14 +399,15 @@ def test_haar_random_unitary_has_the_bytes_of_nested_complexes():
 
 
 class _StubRng:
-    """Hands out fixed normals, so that a draw can hold signed zeros."""
+    """Hands out fixed normals in turn, so that a draw can hold signed zeros."""
 
     def __init__(self, normals):
-        self.normals, self.sizes = normals, []
+        self.normals, self.sizes = list(normals), []
 
     def normal(self, size):
         self.sizes.append(size)
-        return np.array(self.normals)
+        out, self.normals = self.normals[:size], self.normals[size:]
+        return np.array(out)
 
 
 def test_haar_random_unitary_keeps_signed_zeros():
@@ -422,6 +426,46 @@ def test_random_unit_vector_is_unit():
     rng = np.random.default_rng(40)
     for _ in range(100):
         assert abs(float(np.linalg.norm(random_unit_vector(rng))) - 1.0) < 1e-12
+
+
+# 200 seeds, some of them past 2^32 and 2^64
+STREAM_SEEDS = [*range(192), 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7]
+STREAM_SEEDS += [2**100 + 3, 2**128]
+
+
+def _packed(normals) -> bytes:
+    return struct.pack(f"{len(normals)}d", *normals)
+
+
+def test_normal_blocks_hand_out_the_generators_stream():
+    splits = normals = 0
+    for seed in STREAM_SEEDS:
+        sizes = np.random.default_rng([seed, 1]).integers(1, 13, size=240).tolist()
+        sizes.insert(120, _BLOCK + 5)  # one request longer than a whole block
+        blocks = _NormalBlocks(np.random.default_rng(seed))
+        got = []
+        for size in sizes:
+            left = len(blocks._buf) - blocks._at
+            splits += 0 < left < size <= 12  # part from this block, part from the next
+            out = blocks.normal(size)
+            assert out.dtype == np.float64 and out.shape == (size,)
+            got += out.tolist()
+        assert _packed(got) == _packed(np.random.default_rng(seed).normal(size=len(got)).tolist())
+        normals += len(got)
+    assert splits >= 100 and normals >= 300_000
+
+
+def test_random_unit_vector_redraws_a_zero_triple_inside_a_block():
+    normals = np.random.default_rng(43).normal(size=2 * _BLOCK).tolist()
+    normals[501:504] = (0.0, -0.0, 0.0)  # the 168th triple, in the middle of the first block
+    stub, plain = _StubRng(normals), _StubRng(normals)
+    blocks = _NormalBlocks(stub)
+    draws = [random_unit_vector(blocks) for _ in range(600)]  # past the first block's end
+    assert [bits(d) for d in draws] == [bits(random_unit_vector(plain)) for _ in range(600)]
+    x, y, z = normals[504:507]
+    norm = math.hypot(x, y, z)
+    assert bits(draws[167]) == bits((x / norm, y / norm, z / norm))  # the next three normals
+    assert plain.sizes == [3] * 601 and stub.sizes == [_BLOCK, _BLOCK]
 
 
 # ------------------------------------------------------------- constructors

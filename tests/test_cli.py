@@ -278,6 +278,25 @@ def test_equiv_check_transports_have_the_public_functions_bits(monkeypatch):
         assert bits(transports[True]) == bits(bloch.rotate_observable(u, e))
 
 
+@pytest.mark.parametrize("seed", [5, 2201])
+def test_equiv_check_draws_the_bits_of_a_plain_generator(monkeypatch, seed):
+    # The verdict line cannot see a shifted stream: on seed 5, skipping one
+    # normal at trial 150 of 200 still prints 3.331e-16.  So each draw is
+    # compared with a loop over a plain Generator.
+    trials, rng, want = 10_000, np.random.default_rng(seed), []
+    for _ in range(trials):
+        want.append(bloch.haar_random_unitary(rng).tobytes())
+        want += [bits(bloch.random_unit_vector(rng)), bits(bloch.random_unit_vector(rng))]
+    log = []
+    _counted(monkeypatch, bloch, "haar_random_unitary", log)
+    _counted(monkeypatch, bloch, "random_unit_vector", log)
+    assert _main("equiv-check", "--trials", trials, "--seed", seed).returncode == 0
+    got = [out.tobytes() if name == "haar_random_unitary" else bits(out) for name, _, out in log]
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"trial {i // 3}: draw {i % 3} (u, e, v) differs"
+
+
 # --------------------------------------------------------------- halting-demo
 
 
