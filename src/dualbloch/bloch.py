@@ -136,14 +136,14 @@ def rodrigues(axis, angle, v) -> tuple[float, float, float]:
     return tuple(vi * c + wi * s + ni * dot * (1.0 - c) for vi, wi, ni in zip(v, cross, n))
 
 
-_BLOCK = 1024  # normals per numpy call in _NormalBlocks (8 KB)
+_NORMALS_PER_CALL = 1024  # what _NormalBlocks asks numpy for at a time (8 KB)
 
 
 class _NormalBlocks:
-    """rng.normal's stream, drawn _BLOCK at a time: normal(size) returns its
-    next size numbers as a float64 array slice.  Generator.normal builds
-    each number from whole 64-bit outputs and keeps no half-word, so the
-    stream has the same bits however it is cut."""
+    """rng.normal's stream, drawn _NORMALS_PER_CALL at a time: normal(size)
+    returns its next size numbers as a float64 array slice.  Generator.normal
+    builds each number from whole 64-bit outputs and keeps no half-word, so
+    the stream has the same bits however it is cut."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng, self._buf, self._at = rng, np.empty(0), 0
@@ -151,7 +151,7 @@ class _NormalBlocks:
     def normal(self, size: int) -> np.ndarray:
         i = self._at
         if i + size > len(self._buf):
-            fresh = self._rng.normal(size=max(_BLOCK, size))
+            fresh = self._rng.normal(size=max(_NORMALS_PER_CALL, size))
             self._buf, i = np.concatenate((self._buf[i:], fresh)), 0
         self._at = i + size
         return self._buf[i : i + size]

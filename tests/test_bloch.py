@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualbloch.bloch import (
-    _BLOCK,
+    _NORMALS_PER_CALL,
     _NormalBlocks,
     adjoint_rotation,
     bloch_vector,
@@ -89,20 +89,6 @@ def test_density_to_state_pole():
     np.testing.assert_allclose(density_to_state([[1, 0], [0, 0]]), Z, atol=1e-15)
 
 
-def test_density_to_state_rejects_mixed_state():
-    with pytest.raises(ValueError, match="pure-state Bloch vector norm 0.0 deviates from 1"):
-        density_to_state([[0.5, 0], [0, 0.5]])
-
-
-def test_density_to_state_rejects_non_hermitian_and_bad_trace():
-    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
-        density_to_state([[1, 0.5], [0, 0]])
-    with pytest.raises(ValueError, match=r"density matrix trace .* must be 1"):
-        density_to_state([[1, 0], [0, 0.5]])
-    with pytest.raises(ValueError, match="density matrix must be a finite 2x2 matrix"):
-        density_to_state(np.eye(3))
-
-
 # ------------------------------------------------------------- expectations
 
 
@@ -131,6 +117,8 @@ def test_measure_sample_deterministic_extremes():
     v = random_unit_vector(rng)
     assert np.all(measure_sample(v, v, rng_seed=123, shots=100) == 1)
     assert np.all(measure_sample(-np.asarray(v), v, rng_seed=123, shots=100) == -1)
+    # any integer type counts shots; a float does not (see tests/test_kernel.py)
+    assert measure_sample(v, v, rng_seed=1, shots=np.int64(3)).tolist() == [1] * 3
 
 
 def test_measure_sample_orthogonal_mean_near_zero():
@@ -146,18 +134,6 @@ def test_measure_sample_reproducible_and_seed_sensitive():
     c = measure_sample((1, 0, 0), (0, 0, 1), rng_seed=10, shots=1000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-@pytest.mark.parametrize("shots", [2.5, 0.5])
-def test_measure_sample_takes_only_an_integer_shot_count(shots):
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=shots)
-    assert measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=np.int64(3)).tolist() == [1] * 3
-
-
-def test_measure_sample_rejects_zero_shots():
-    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
-        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=0)
 
 
 # ------------------------------------------------------- the adjoint action
@@ -223,26 +199,6 @@ def test_adjoint_rotation_kills_the_sign():
         u = haar_random_unitary(rng)
         diff = adjoint_rotation(u) - adjoint_rotation(-u)
         assert float(np.max(np.abs(diff))) < 1e-12
-
-
-_NOT_UNITARY = {
-    "2I": 2 * np.eye(2),
-    "zeros": np.zeros((2, 2)),
-    "nan": [[math.nan, 0], [0, 1]],
-    "3x3": np.eye(3),
-    "shear": [[1, 1], [0, 1]],
-}
-
-
-@pytest.mark.parametrize("u", list(_NOT_UNITARY.values()), ids=list(_NOT_UNITARY))
-@pytest.mark.parametrize(
-    "transport",
-    [lambda u: rotate_state(u, Z), lambda u: rotate_observable(u, Z), adjoint_rotation],
-    ids=["rotate_state", "rotate_observable", "adjoint_rotation"],
-)
-def test_matrices_that_are_not_2x2_unitaries_are_rejected(transport, u):
-    with pytest.raises(ValueError, match="matrix"):
-        transport(u)
 
 
 # ------------------------------------------------------------------ rotation
@@ -345,17 +301,6 @@ def test_rodrigues_agrees_with_conjugation():
         assert float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))) < 1e-12
 
 
-def test_rodrigues_rejects_bad_axis():
-    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
-        rodrigues((0.0, 0.0, 0.0), 1.0, (0, 0, 1))
-
-
-@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
-def test_rodrigues_rejects_a_non_finite_angle(angle):
-    with pytest.raises(ValueError, match="angle must be finite"):
-        rodrigues(Y_AXIS, angle, (0, 0, 1))
-
-
 # --------------------------------------------------------- dual-picture core
 
 
@@ -441,7 +386,7 @@ def test_normal_blocks_hand_out_the_generators_stream():
     splits = normals = 0
     for seed in STREAM_SEEDS:
         sizes = np.random.default_rng([seed, 1]).integers(1, 13, size=240).tolist()
-        sizes.insert(120, _BLOCK + 5)  # one request longer than a whole block
+        sizes.insert(120, _NORMALS_PER_CALL + 5)  # one request longer than a whole block
         blocks = _NormalBlocks(np.random.default_rng(seed))
         got = []
         for size in sizes:
@@ -456,7 +401,7 @@ def test_normal_blocks_hand_out_the_generators_stream():
 
 
 def test_random_unit_vector_redraws_a_zero_triple_inside_a_block():
-    normals = np.random.default_rng(43).normal(size=2 * _BLOCK).tolist()
+    normals = np.random.default_rng(43).normal(size=2 * _NORMALS_PER_CALL).tolist()
     normals[501:504] = (0.0, -0.0, 0.0)  # the 168th triple, in the middle of the first block
     stub, plain = _StubRng(normals), _StubRng(normals)
     blocks = _NormalBlocks(stub)
@@ -465,7 +410,7 @@ def test_random_unit_vector_redraws_a_zero_triple_inside_a_block():
     x, y, z = normals[504:507]
     norm = math.hypot(x, y, z)
     assert bits(draws[167]) == bits((x / norm, y / norm, z / norm))  # the next three normals
-    assert plain.sizes == [3] * 601 and stub.sizes == [_BLOCK, _BLOCK]
+    assert plain.sizes == [3] * 601 and stub.sizes == [_NORMALS_PER_CALL, _NORMALS_PER_CALL]
 
 
 # ------------------------------------------------------------- constructors
@@ -476,19 +421,9 @@ def test_bloch_vector_renormalizes_small_drift():
     assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, 2), (0, 0, 0.9), (math.inf, 0, 0), (1, 0)])
-def test_bloch_vector_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        bloch_vector(bad)
-
-
 def test_normalized_scales_any_nonzero_vector():
     np.testing.assert_allclose(normalized((0, 0, 5)), [0, 0, 1], atol=1e-15)
     np.testing.assert_allclose(normalized((3, 4, 0)), [0.6, 0.8, 0.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        normalized((0, 0, 0))
-    with pytest.raises(ValueError):
-        normalized((math.nan, 1, 0))
     # the norm of these components overflows a plain sum of squares
     half = math.sqrt(0.5)
     np.testing.assert_allclose(normalized((1e308, 1e308, 0)), [half, half, 0.0], atol=1e-15)

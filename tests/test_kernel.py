@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -72,131 +73,224 @@ def test_linspace_yields_the_first_point_of_a_huge_grid_at_once():
 
 _HUGE = 10**400  # an int beyond the largest float
 _AXIS = (0.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda: su2.unit_axis([_HUGE, 0, 0]), "axis components"),
-        (lambda: su2.make_unitary(_AXIS, _HUGE), "angle"),
-        (lambda: pictures.EvolutionSpec(_AXIS, rate=_HUGE), "rate"),
-        (lambda: halting.HaltingMachine(_AXIS, _HUGE, (0.0, 0.0, 1.0)), "angle"),
-        (lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), _HUGE), "t"),
-        (
-            lambda: pictures.trajectory(pictures.EvolutionSpec(_AXIS), (0, 0, 1), 0, _HUGE, 3),
-            "t_end",
-        ),
-        (lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), [_HUGE]), "t"),
-        (lambda: bloch.rodrigues(_AXIS, _HUGE, (0, 0, 1)), "angle"),
-        (lambda: halting.self_reference(_AXIS, _HUGE, (0, 0, 1)), "angle"),
-    ],
-    ids=[
-        "unit_axis",
-        "make_unitary",
-        "EvolutionSpec",
-        "HaltingMachine",
-        "evolve",
-        "trajectory",
-        "reversed_label_equivalence",
-        "rodrigues",
-        "self_reference",
-    ],
-)
-def test_huge_integers_raise_the_validators_error(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        call()
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: su2.make_unitary(_AXIS, "1.5"),
-        lambda: pictures.EvolutionSpec(_AXIS, rate="1.5"),
-        lambda: halting.HaltingMachine(_AXIS, "1.5", (0.0, 0.0, 1.0)),
-        lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), "1.5"),
-    ],
-    ids=["make_unitary", "EvolutionSpec", "HaltingMachine", "evolve"],
-)
-def test_a_number_written_as_a_string_is_not_a_real_number(call):
-    # As for vector components: a scalar must be a real number, not text.
-    with pytest.raises(TypeError):
-        call()
-
-
+_Z = (0.0, 0.0, 1.0)
 _Z_SPEC = pictures.EvolutionSpec(_AXIS)
-_Z_MACHINE = halting.HaltingMachine(_AXIS, 1.0, (0.0, 0.0, 1.0))
+_Z_MACHINE = halting.HaltingMachine(_AXIS, 1.0, _Z)
+_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": _HUGE}
+
+# Each check of a scalar, as a call on the value, and the name its message gives it.
+_SCALARS = {
+    "make_unitary": (lambda x: su2.make_unitary(_AXIS, x), "angle"),
+    "rodrigues": (lambda x: bloch.rodrigues(_AXIS, x, _Z), "angle"),
+    "EvolutionSpec": (lambda x: pictures.EvolutionSpec(_AXIS, x), "rate"),
+    "evolve": (lambda x: pictures.evolve(_Z_SPEC, _Z, x), "t"),
+    "t_start": (lambda x: pictures.trajectory(_Z_SPEC, _Z, x, 1.0, 3), "t_start"),
+    "t_end": (lambda x: pictures.trajectory(_Z_SPEC, _Z, 0.0, x, 3), "t_end"),
+    "reversed_label_equivalence": (
+        lambda x: pictures.reversed_label_equivalence(_AXIS, 1.0, _Z, [x]), "t"
+    ),
+    "HaltingMachine": (lambda x: halting.HaltingMachine(_AXIS, x, _Z), "angle"),
+    "self_reference": (lambda x: halting.self_reference(_AXIS, x, _Z), "angle"),
+}
+_VECTOR_CHECKS = {
+    su2.unit_axis: "axis", bloch.bloch_vector: "Bloch vector", bloch.normalized: "vector"
+}
+_NOT_VECTORS = {  # no vector check takes these: each, and the end of the message
+    "shape": (np.zeros(4), "must be a 3-vector, got shape (4,)"),
+    "length": ([1.0, 0.0], "must be a 3-vector, got [1.0, 0.0]"),
+    "length-4": ((1.0, 0.0, 0.0, 0.0), "must be a 3-vector, got (1.0, 0.0, 0.0, 0.0)"),
+    "not-real": (["1", 0, 0], "must be a 3-vector of real numbers"),
+    **{label: ([x, 0.0, 1.0], "components must be finite") for label, x in _NONFINITE.items()},
+}
+_OFF_UNIT = {  # unit_axis and bloch_vector reject these, which normalized scales
+    "zero": ((0, 0, 0), "norm 0.0 deviates from 1 by 1"),
+    "long": ((0.0, 2.0, 0.0), "norm 2.0 deviates from 1 by 1"),
+    "short": ((0.0, 0.9, 0.0), "norm 0.9 deviates from 1 by 0.1"),
+    "near": ((0.0, 1.0 - 2e-6, 0.0), "norm 0.999998 deviates from 1 by 2e-06"),
+    "norm-past-the-largest-float": ((1.7e308, 1.7e308, 0.0), "norm inf deviates from 1 by inf"),
+}
+_AXIS_TAKERS = {  # each call that takes an axis, on the axis
+    "make_unitary": lambda axis: su2.make_unitary(axis, 1.0),
+    "rodrigues": lambda axis: bloch.rodrigues(axis, 1.0, _Z),
+    "EvolutionSpec": pictures.EvolutionSpec,
+    "HaltingMachine": lambda axis: halting.HaltingMachine(axis, 1.0, _Z),
+    "self_reference": lambda axis: halting.self_reference(axis, 1.0, _Z),
+}
+_STATE_TAKERS = {  # each call that takes a Bloch vector, on the vector
+    "state_to_density-vector": bloch.state_to_density,
+    "expectation-vector": lambda v: bloch.expectation(_Z, v),
+    "measure_sample-vector": lambda v: bloch.measure_sample(_Z, v, rng_seed=1, shots=1),
+    "rotate_state-vector": lambda v: bloch.rotate_state(np.eye(2), v),
+    "rodrigues-vector": lambda v: bloch.rodrigues(_AXIS, 1.0, v),
+    "evolve-vector": lambda v: pictures.evolve(_Z_SPEC, v, 1.0),
+    "trajectory-vector": lambda v: pictures.trajectory(_Z_SPEC, v, 0.0, 1.0, 3),
+    "HaltingMachine-system": lambda v: halting.HaltingMachine(_AXIS, 1.0, v),
+    "HaltingMachine-basis": lambda v: halting.HaltingMachine(_AXIS, 1.0, _Z, v),
+    "self_reference-basis": lambda v: halting.self_reference(_AXIS, 1.0, v),
+}
+_NOT_PURE_STATES = {
+    "shape": (np.eye(3), "density matrix must be a finite 2x2 matrix"),
+    "nan": ([[math.nan, 0], [0, 1]], "density matrix must be a finite 2x2 matrix"),
+    "hermitian": ([[1, 0.5], [0, 0]], "density matrix must be Hermitian"),
+    "trace": ([[1, 0], [0, 0.5]], f"density matrix trace {np.complex128(1.5)!r} must be 1"),
+    "mixed": ([[0.5, 0], [0, 0.5]], "pure-state Bloch vector norm 0.0 deviates from 1 by 1"),
+}
+_NOT_UNITARY = {
+    "2I": (2 * np.eye(2), "matrix is not unitary: row norms^2 4.0, 4.0, overlap 0.0"),
+    "zeros": (np.zeros((2, 2)), "matrix is not unitary: row norms^2 0.0, 0.0, overlap 0.0"),
+    "nan": ([[math.nan, 0], [0, 1]], "matrix is not unitary: row norms^2 nan, 1.0, overlap nan"),
+    "3x3": (np.eye(3), "matrix must be 2x2, got shape (3, 3)"),
+    "shear": ([[1, 1], [0, 1]], "matrix is not unitary: row norms^2 2.0, 1.0, overlap 1.0"),
+}
+_TRANSPORTS = {
+    "rotate_state": lambda u: bloch.rotate_state(u, _Z),
+    "rotate_observable": lambda u: bloch.rotate_observable(u, _Z),
+    "adjoint_rotation": bloch.adjoint_rotation,
+}
+_BAD_TIME_RANGES = {  # (t_start, t_end), each of them finite
+    "range": (1.0, 1.0),
+    "range-descending": (2.0, 1.0),
+    "range-width-overflows": (-1e308, 1e308),
+}
+_FAST_SPEC = pictures.EvolutionSpec(_AXIS, 1e300)  # rate * t overflows at |t| = 1e300
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+# Every input the library rejects, one bad input a row: the call, the type it
+# must raise and its message.  A ValueError's message names the input, word
+# for word; a TypeError's is Python's own, so a row gives a fragment of it.
+# Every check that takes a float or a matrix has a NaN row.  A row that calls
+# trajectory draws no sample, so a check made only as samples are drawn fails.
 _REJECTED = {
-    "shape": (lambda: su2.unit_axis(np.zeros(4)), "axis must be a 3-vector, got shape (4,)"),
-    "length": (lambda: su2.unit_axis([1.0, 0.0]), "axis must be a 3-vector, got [1.0, 0.0]"),
-    "not-real": (lambda: su2.unit_axis(["1", 0, 0]), "axis must be a 3-vector of real numbers"),
-    "huge-component": (lambda: su2.unit_axis([_HUGE, 0, 0]), "axis components must be finite"),
-    "nan-component": (
-        lambda: su2.unit_axis((math.nan, 0.0, 1.0)), "axis components must be finite"
+    **{
+        f"{case}-{label}": (lambda call=call, x=x: call(x), ValueError, f"{name} must be finite")
+        for case, (call, name) in _SCALARS.items()
+        for label, x in _NONFINITE.items()
+    },
+    **{  # a number written as a string is not a real number, as for vector components
+        f"{case}-text": (lambda call=call: call("1.5"), TypeError, "must be real number, not str")
+        for case, (call, _) in _SCALARS.items()
+    },
+    **{
+        f"{check.__name__}-{label}": (lambda c=check, v=v: c(v), ValueError, f"{noun} {end}")
+        for check, noun in _VECTOR_CHECKS.items()
+        for label, (v, end) in _NOT_VECTORS.items()
+    },
+    **{
+        f"{check.__name__}-{label}": (lambda c=check, v=v: c(v), ValueError, f"{noun} {end}")
+        for check, noun in ((su2.unit_axis, "axis"), (bloch.bloch_vector, "Bloch vector"))
+        for label, (v, end) in _OFF_UNIT.items()
+    },
+    "normalized-zero": (
+        lambda: bloch.normalized((0, 0, 0)), ValueError, "zero vector has no direction"
     ),
-    "axis-norm": (lambda: su2.unit_axis((2.0, 0.0, 0.0)), "axis norm 2.0 deviates from 1 by 1"),
-    "density-shape": (
-        lambda: bloch.density_to_state(np.eye(3)), "density matrix must be a finite 2x2 matrix"
+    **{
+        f"{case}-axis": (
+            lambda c=call: c((0.0, 0.5, 0.0)), ValueError, "axis norm 0.5 deviates from 1 by 0.5"
+        )
+        for case, call in _AXIS_TAKERS.items()
+    },
+    **{
+        case: (
+            lambda c=call: c((0, 0, 3)), ValueError, "Bloch vector norm 3.0 deviates from 1 by 2"
+        )
+        for case, call in _STATE_TAKERS.items()
+    },
+    "self_reference-axis-first": (
+        lambda: halting.self_reference((2.0, 0.0, 0.0), math.inf, (0, 0, 3)),
+        ValueError,
+        "axis norm 2.0 deviates from 1 by 1",
     ),
-    "density-hermitian": (
-        lambda: bloch.density_to_state([[1, 0.5], [0, 0]]), "density matrix must be Hermitian"
-    ),
-    "density-trace": (
-        lambda: bloch.density_to_state([[1, 0], [0, 0.5]]),
-        f"density matrix trace {np.complex128(1.5)!r} must be 1",
-    ),
-    "density-mixed": (
-        lambda: bloch.density_to_state([[0.5, 0], [0, 0.5]]),
-        "pure-state Bloch vector norm 0.0 deviates from 1 by 1",
-    ),
+    **{
+        f"density-{case}": (lambda m=m: bloch.density_to_state(m), ValueError, message)
+        for case, (m, message) in _NOT_PURE_STATES.items()
+    },
+    **{
+        f"{transport}-{case}": (lambda call=call, u=u: call(u), ValueError, message)
+        for transport, call in _TRANSPORTS.items()
+        for case, (u, message) in _NOT_UNITARY.items()
+    },
     "shots": (
-        lambda: bloch.measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=0),
+        lambda: bloch.measure_sample(_Z, _Z, rng_seed=1, shots=0),
+        ValueError,
         "shots must be >= 1, got 0",
     ),
-    "steps": (
-        lambda: pictures.trajectory(_Z_SPEC, (0, 0, 1), 0.0, 1.0, 1), "steps must be >= 2, got 1"
-    ),
-    "t_start": (
-        lambda: pictures.trajectory(_Z_SPEC, (0, 0, 1), math.inf, 1.0, 3), "t_start must be finite"
-    ),
-    "t_end": (
-        lambda: pictures.trajectory(_Z_SPEC, (0, 0, 1), 0.0, math.nan, 3), "t_end must be finite"
-    ),
-    "range": (
-        lambda: pictures.trajectory(_Z_SPEC, (0, 0, 1), 1.0, 1.0, 3),
-        "need t_start < t_end and a finite width, got [1.0, 1.0]",
-    ),
-    "grid": (
-        lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), []),
-        "time grid must be non-empty",
+    **{
+        f"shots-{shots}": (
+            lambda shots=shots: bloch.measure_sample(_Z, _Z, rng_seed=1, shots=shots),
+            TypeError,
+            _NOT_AN_INT,
+        )
+        for shots in (2.5, 0.5)
+    },
+    "EvolutionSpec-picture": (
+        lambda: pictures.EvolutionSpec(_AXIS, 1.0, "schrodinger"),
+        ValueError,
+        "picture must be a Picture, got 'schrodinger'",
     ),
     "evolve-angle": (  # finite t, but rate * t overflows
-        lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS, 1e300), (0, 0, 1), 1e300),
-        "angle must be finite",
+        lambda: pictures.evolve(_FAST_SPEC, _Z, 1e300), ValueError, "angle must be finite"
     ),
-    "self_reference-angle": (
-        lambda: halting.self_reference(_AXIS, math.inf, (0, 0, 1)), "angle must be finite"
+    "steps": (
+        lambda: pictures.trajectory(_Z_SPEC, _Z, 0.0, 1.0, 1),
+        ValueError,
+        "steps must be >= 2, got 1",
     ),
-    "self_reference-axis-first": (
-        lambda: halting.self_reference((2.0, 0.0, 0.0), math.inf, (0, 0, 1)),
-        "axis norm 2.0 deviates from 1 by 1",
+    "steps-2.9": (  # not truncated to a count
+        lambda: pictures.trajectory(_Z_SPEC, _Z, 0.0, 1.0, 2.9), TypeError, _NOT_AN_INT
+    ),
+    **{
+        case: (
+            lambda lo=lo, hi=hi: pictures.trajectory(_Z_SPEC, _Z, lo, hi, 3),
+            ValueError,
+            f"need t_start < t_end and a finite width, got [{lo}, {hi}]",
+        )
+        for case, (lo, hi) in _BAD_TIME_RANGES.items()
+    },
+    **{  # rate * t overflows at either end of the grid
+        f"trajectory-angle-at-{end}": (
+            lambda lo=lo, hi=hi: pictures.trajectory(_FAST_SPEC, _Z, lo, hi, 3),
+            ValueError,
+            "angle must be finite",
+        )
+        for end, lo, hi in (("t_start", -1e300, 0.0), ("t_end", 0.0, 1e300))
+    },
+    "grid": (
+        lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, _Z, []),
+        ValueError,
+        "time grid must be non-empty",
     ),
     "picture": (
         lambda: halting.run(_Z_MACHINE, pictures.Picture.HEISENBERG_REVERSED),
+        ValueError,
         "halting machine supports schrodinger and heisenberg only,"
         " got <Picture.HEISENBERG_REVERSED: 'heisenberg-reversed'>",
     ),
+    "picture-text": (
+        lambda: halting.run(_Z_MACHINE, "schrodinger"),
+        ValueError,
+        "halting machine supports schrodinger and heisenberg only, got 'schrodinger'",
+    ),
+    **{
+        f"tol-{tol}": (
+            lambda tol=tol: halting.is_fixed_point(_AXIS, 1.0, _Z, tol=tol),
+            ValueError,
+            f"tol must be positive, got {tol}",
+        )
+        for tol in (0.0, -1.0, math.nan)
+    },
 }
 
 
 @pytest.mark.parametrize("case", _REJECTED)
-def test_every_rejected_input_raises_plain_value_error(case):
-    # One bad input per check: the error is ValueError itself, no subclass,
-    # and its message names the input.
-    call, message = _REJECTED[case]
-    with pytest.raises(ValueError) as excinfo:
+def test_every_rejected_input_raises_its_exact_error(case):
+    call, kind, message = _REJECTED[case]
+    with pytest.raises(kind) as excinfo:
         call()
-    assert excinfo.type is ValueError
-    assert str(excinfo.value) == message
+    assert excinfo.type is kind  # the type itself, no subclass
+    if kind is ValueError:
+        assert str(excinfo.value) == message
+    else:
+        assert message in str(excinfo.value)
 
 
 _SPEC = pictures.EvolutionSpec(np.array([0, 1, 0]), 2, pictures.Picture.HEISENBERG)
@@ -460,8 +554,18 @@ def test_the_memo_keeps_its_first_entries_and_no_more(monkeypatch):
     assert len(halting._so3_memo) == size
 
 
-def test_threads_never_push_the_memo_past_its_bound():
-    halting._so3_memo.clear()
+class _YieldingDict(dict):
+    """A dict whose size check lets another thread run before it answers, so
+    that a memo without its lock would insert past its bound."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0)
+        return size
+
+
+def test_threads_never_push_the_memo_past_its_bound(monkeypatch):
+    monkeypatch.setattr(halting, "_so3_memo", _YieldingDict())
     size = halting._SO3_MEMO_SIZE
 
     def fill(start):
