@@ -89,6 +89,20 @@ def test_density_to_state_pole():
     np.testing.assert_allclose(density_to_state([[1, 0], [0, 0]]), Z, atol=1e-15)
 
 
+def test_density_to_state_rejects_mixed_state():
+    with pytest.raises(ValueError, match="pure-state Bloch vector norm 0.0 deviates from 1"):
+        density_to_state([[0.5, 0], [0, 0.5]])
+
+
+def test_density_to_state_rejects_non_hermitian_and_bad_trace():
+    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+        density_to_state([[1, 0.5], [0, 0]])
+    with pytest.raises(ValueError, match=r"density matrix trace .* must be 1"):
+        density_to_state([[1, 0], [0, 0.5]])
+    with pytest.raises(ValueError, match="density matrix must be a finite 2x2 matrix"):
+        density_to_state(np.eye(3))
+
+
 # ------------------------------------------------------------- expectations
 
 
@@ -134,6 +148,17 @@ def test_measure_sample_reproducible_and_seed_sensitive():
     c = measure_sample((1, 0, 0), (0, 0, 1), rng_seed=10, shots=1000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("shots", [2.5, 0.5])
+def test_measure_sample_takes_only_an_integer_shot_count(shots):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=shots)
+
+
+def test_measure_sample_rejects_zero_shots():
+    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
+        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=0)
 
 
 # ------------------------------------------------------- the adjoint action
@@ -199,6 +224,26 @@ def test_adjoint_rotation_kills_the_sign():
         u = haar_random_unitary(rng)
         diff = adjoint_rotation(u) - adjoint_rotation(-u)
         assert float(np.max(np.abs(diff))) < 1e-12
+
+
+_NOT_UNITARY = {
+    "2I": 2 * np.eye(2),
+    "zeros": np.zeros((2, 2)),
+    "nan": [[math.nan, 0], [0, 1]],
+    "3x3": np.eye(3),
+    "shear": [[1, 1], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("u", list(_NOT_UNITARY.values()), ids=list(_NOT_UNITARY))
+@pytest.mark.parametrize(
+    "transport",
+    [lambda u: rotate_state(u, Z), lambda u: rotate_observable(u, Z), adjoint_rotation],
+    ids=["rotate_state", "rotate_observable", "adjoint_rotation"],
+)
+def test_matrices_that_are_not_2x2_unitaries_are_rejected(transport, u):
+    with pytest.raises(ValueError, match="matrix"):
+        transport(u)
 
 
 # ------------------------------------------------------------------ rotation
@@ -299,6 +344,17 @@ def test_rodrigues_agrees_with_conjugation():
         via_conjugation = rotate_state(make_unitary(axis, angle), v)
         via_closed_form = rodrigues(axis, angle, v)
         assert float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))) < 1e-12
+
+
+def test_rodrigues_rejects_bad_axis():
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
+        rodrigues((0.0, 0.0, 0.0), 1.0, (0, 0, 1))
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rodrigues_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        rodrigues(Y_AXIS, angle, (0, 0, 1))
 
 
 # --------------------------------------------------------- dual-picture core
@@ -419,6 +475,12 @@ def test_random_unit_vector_redraws_a_zero_triple_inside_a_block():
 def test_bloch_vector_renormalizes_small_drift():
     v = bloch_vector((0.0, 0.0, 1.0 - 3e-7))
     assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, 2), (0, 0, 0.9), (math.inf, 0, 0), (1, 0)])
+def test_bloch_vector_rejects_garbage(bad):
+    with pytest.raises(ValueError):
+        bloch_vector(bad)
 
 
 def test_normalized_scales_any_nonzero_vector():

@@ -222,6 +222,14 @@ def test_equiv_check_single_trial():
     assert run_cli("equiv-check", "--trials", 1, "--seed", 7).returncode == 0
 
 
+def test_equiv_check_zero_trials_is_usage_error():
+    _assert_usage_error(_main("equiv-check", "--trials", 0, "--seed", 7))
+
+
+def test_equiv_check_requires_a_seed():
+    _assert_usage_error(_main("equiv-check", "--trials", 10))
+
+
 def test_equiv_check_fails_on_a_nan_deviation(monkeypatch):
     calls, real = itertools.count(), cli.expectation
 
@@ -334,6 +342,27 @@ def test_halting_demo_degrees_flag():
     b = json.loads(deg.stdout)
     np.testing.assert_allclose(a["system_basis_out"], b["system_basis_out"], atol=1e-15)
     np.testing.assert_allclose(a["system_basis_out"], [-1, 0, 0], atol=1e-12)
+
+
+def test_halting_demo_rejects_reversed_picture():
+    proc = _main(
+        "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
+        "--system", 0, 0, 1, "--picture", "heisenberg-reversed",
+    )
+    _assert_usage_error(proc)
+
+
+def test_halting_demo_rejects_unknown_picture_and_zero_vectors():
+    _assert_usage_error(_main(
+        "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
+        "--system", 0, 0, 1, "--picture", "interaction",
+    ))
+    proc = _main(
+        "halting-demo", "--axis", 0, 0, 0, "--delta", 1,
+        "--system", 0, 0, 1, "--picture", "schrodinger",
+    )
+    _assert_usage_error(proc)
+    assert b"axis" in proc.stderr
 
 
 # -------------------------------------------------------------- self-ref-sweep
@@ -738,6 +767,15 @@ def test_trajectory_jsonl_matches_csv():
     jsonl_rows = _jsonl_rows(run_cli(*base, "--format", "jsonl").stdout)
     for a, b in zip(csv_rows, jsonl_rows):
         assert a == b
+
+
+def test_trajectory_usage_errors():
+    common = ("--picture", "schrodinger", "--axis", 0, 1, 0, "--input", 0, 0, 1)
+    _assert_usage_error(_main("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
+    _assert_usage_error(_main("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
+    proc = _main("trajectory", *common, "--t-start", -1e308, "--t-end", 1e308, "--steps", 5)
+    _assert_usage_error(proc)
+    assert b"finite width" in proc.stderr
 
 
 # ---------------------------------------------------------- process contract

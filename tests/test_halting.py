@@ -118,6 +118,15 @@ def test_stored_vectors_and_run_pass_throughs_are_read_only():
             vector[:] = (0.0, 1.0, 0.0)
 
 
+def test_machine_validates_inputs():
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
+        HaltingMachine(axis=(0, 0, 0), angle=1.0, system=Z_AXIS)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        HaltingMachine(axis=Y_AXIS, angle=math.inf, system=Z_AXIS)
+    with pytest.raises(ValueError, match="Bloch vector norm 3.0 deviates from 1"):
+        HaltingMachine(axis=Y_AXIS, angle=1.0, system=(0, 0, 3))
+
+
 # ---------------------------------------------------------------------- run
 
 
@@ -168,6 +177,14 @@ def test_run_outputs_are_the_public_transports_bit_for_bit():
 def test_the_flip_is_the_rotation_of_sigma_x_bit_for_bit():
     want = struct.pack("9d", *adjoint_rotation(SIGMA_X).ravel().tolist())
     assert struct.pack("9d", *halting._FLIP) == want
+
+
+def test_run_rejects_the_reversed_picture():
+    m = HaltingMachine(axis=Y_AXIS, angle=1.0, system=Z_AXIS)
+    with pytest.raises(ValueError, match="supports schrodinger and heisenberg only"):
+        run(m, Picture.HEISENBERG_REVERSED)
+    with pytest.raises(ValueError, match="supports schrodinger and heisenberg only"):
+        run(m, "schrodinger")
 
 
 def test_halt_always_signals_in_both_pictures():
@@ -235,6 +252,11 @@ def test_self_reference_full_turn_of_pi_agrees():
         assert self_reference(axis, math.pi, basis).discrepancy_angle < 1e-9
 
 
+def test_self_reference_rejects_bad_axis():
+    with pytest.raises(ValueError, match="axis norm 0.2 deviates from 1"):
+        self_reference((0.0, 0.2, 0.0), 1.0, Z_AXIS)
+
+
 def test_self_reference_discrepancy_is_the_output_angle():
     rng = np.random.default_rng(64)
     for _ in range(100):
@@ -251,6 +273,11 @@ def test_is_fixed_point_examples():
     assert is_fixed_point(Y_AXIS, 2.31, Y_AXIS, tol=1e-9)
     assert is_fixed_point(Y_AXIS, 0.7, (0.0, -1.0, 0.0), tol=1e-9)
     assert not is_fixed_point(Y_AXIS, math.pi / 2, Z_AXIS, tol=1e-9)
+
+
+def test_is_fixed_point_rejects_bad_tolerance():
+    with pytest.raises(ValueError):
+        is_fixed_point(Y_AXIS, 1.0, Z_AXIS, tol=0.0)
 
 
 def test_fixed_point_landscape_on_a_coarse_grid():

@@ -293,6 +293,55 @@ def test_every_rejected_input_raises_its_exact_error(case):
         assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: su2.unit_axis([_HUGE, 0, 0]), "axis components"),
+        (lambda: su2.make_unitary(_AXIS, _HUGE), "angle"),
+        (lambda: pictures.EvolutionSpec(_AXIS, rate=_HUGE), "rate"),
+        (lambda: halting.HaltingMachine(_AXIS, _HUGE, (0.0, 0.0, 1.0)), "angle"),
+        (lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), _HUGE), "t"),
+        (
+            lambda: pictures.trajectory(pictures.EvolutionSpec(_AXIS), (0, 0, 1), 0, _HUGE, 3),
+            "t_end",
+        ),
+        (lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, (0, 0, 1), [_HUGE]), "t"),
+        (lambda: bloch.rodrigues(_AXIS, _HUGE, (0, 0, 1)), "angle"),
+        (lambda: halting.self_reference(_AXIS, _HUGE, (0, 0, 1)), "angle"),
+    ],
+    ids=[
+        "unit_axis",
+        "make_unitary",
+        "EvolutionSpec",
+        "HaltingMachine",
+        "evolve",
+        "trajectory",
+        "reversed_label_equivalence",
+        "rodrigues",
+        "self_reference",
+    ],
+)
+def test_huge_integers_raise_the_validators_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: su2.make_unitary(_AXIS, "1.5"),
+        lambda: pictures.EvolutionSpec(_AXIS, rate="1.5"),
+        lambda: halting.HaltingMachine(_AXIS, "1.5", (0.0, 0.0, 1.0)),
+        lambda: pictures.evolve(pictures.EvolutionSpec(_AXIS), (0, 0, 1), "1.5"),
+    ],
+    ids=["make_unitary", "EvolutionSpec", "HaltingMachine", "evolve"],
+)
+def test_a_number_written_as_a_string_is_not_a_real_number(call):
+    # As for vector components: a scalar must be a real number, not text.
+    with pytest.raises(TypeError):
+        call()
+
+
 _SPEC = pictures.EvolutionSpec(np.array([0, 1, 0]), 2, pictures.Picture.HEISENBERG)
 _MACHINE = halting.HaltingMachine(np.array([0, 1, 0]), 1, [0, 0, 1])
 _VECTORS = {

@@ -136,6 +136,42 @@ def test_a_grid_with_more_points_than_a_float_can_count_streams():
     assert next(trajectory(SCHRO, Z, 0.0, 1.0, 10**17)).time_label == 0.0
 
 
+def test_trajectory_rejects_bad_grids():
+    with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
+        trajectory(SCHRO, Z, 0.0, 1.0, 1)
+    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[1.0, 1.0\]"):
+        trajectory(SCHRO, Z, 1.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[2.0, 1.0\]"):
+        trajectory(SCHRO, Z, 2.0, 1.0, 5)
+    # Each bound is finite, but t_end - t_start overflows to inf.
+    with pytest.raises(ValueError, match="finite width"):
+        trajectory(SCHRO, Z, -1e308, 1e308, 5)
+    # A step count must be an integer, not truncated to one.
+    with pytest.raises(TypeError):
+        trajectory(SCHRO, Z, 0.0, 1.0, 2.9)
+
+
+def test_trajectory_checks_everything_before_it_returns():
+    # The samples are computed lazily, so every error must come from the
+    # call itself: rate * t overflowing at either end, or a bad input vector.
+    fast = EvolutionSpec(Y_AXIS, 1e300, Picture.SCHRODINGER)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        trajectory(fast, Z, 0.0, 1e300, 5)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        trajectory(fast, Z, -1e300, 0.0, 5)
+    with pytest.raises(ValueError, match="Bloch vector"):
+        trajectory(SCHRO, (0.0, 0.0, 2.0), 0.0, 1.0, 5)
+
+
+def test_evolution_spec_validates_inputs():
+    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
+        EvolutionSpec((0.0, 0.0, 0.0), 1.0, Picture.SCHRODINGER)
+    with pytest.raises(ValueError, match="rate must be finite"):
+        EvolutionSpec(Y_AXIS, math.nan, Picture.SCHRODINGER)
+    with pytest.raises(ValueError, match="picture must be a Picture"):
+        EvolutionSpec(Y_AXIS, 1.0, "schrodinger")
+
+
 def test_evolution_spec_axis_is_read_only():
     spec = EvolutionSpec(Y_AXIS, 1.0, Picture.SCHRODINGER)
     with pytest.raises(TypeError):
@@ -241,3 +277,8 @@ def test_reversed_label_equivalence_detects_a_wrong_picture(monkeypatch):
     monkeypatch.setattr(pictures, "evolve", schrodinger_evolve)
     assert reversed_label_equivalence(Y_AXIS, 1.0, Z, [0.0])
     assert not reversed_label_equivalence(Y_AXIS, 1.0, Z, [0.0, 0.3])
+
+
+def test_reversed_label_equivalence_rejects_empty_grid():
+    with pytest.raises(ValueError, match="time grid must be non-empty"):
+        reversed_label_equivalence(Y_AXIS, 1.0, Z, [])

@@ -69,6 +69,11 @@ def test_make_unitary_z_pi_is_minus_i_sigma_z():
     np.testing.assert_allclose(make_unitary(Z_AXIS, math.pi), expected, atol=1e-15)
 
 
+def test_make_unitary_rejects_nonfinite_angle():
+    with pytest.raises(ValueError):
+        make_unitary(Y_AXIS, math.nan)
+
+
 def test_unit_axis_renormalizes_small_drift():
     n = unit_axis((0.0, 1.0 + 5e-7, 0.0))
     assert abs(np.linalg.norm(n) - 1.0) < 1e-15
@@ -90,6 +95,24 @@ NOT_THREE_REALS = [
     np.array(1.0),
     [np.array([1.0]), 0, 0],
 ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0.0, 0.0, 0.0),
+        (0.0, 1.1, 0.0),
+        (0.0, 1.0 - 2e-6, 0.0),
+        (math.nan, 0.0, 1.0),
+        (1.7e308, 1.7e308, 0.0),  # finite, but its norm is beyond the largest float
+        (1.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0),
+        *NOT_THREE_REALS,
+    ],
+)
+def test_unit_axis_rejects_garbage(bad):
+    with pytest.raises(ValueError, match="^axis (norm|components|must be a 3-vector)"):
+        unit_axis(bad)
 
 
 @pytest.mark.parametrize("bad", NOT_THREE_REALS)
@@ -166,6 +189,11 @@ def test_make_unitary_y_at_zero_and_pi():
     np.testing.assert_allclose(
         make_unitary(Y_AXIS, math.pi), np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
     )
+
+
+def test_make_unitary_rejects_bad_axis():
+    with pytest.raises(ValueError, match="axis norm 0.5 deviates from 1"):
+        make_unitary((0.0, 0.5, 0.0), 1.0)
 
 
 @given(axes, angles)
