@@ -51,7 +51,9 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
     PCG64 generator seeded with rng_seed, so identical seeds reproduce
     identical samples bit for bit.
     """
-    shots = operator.index(shots)
+    rng_seed, shots = operator.index(rng_seed), operator.index(shots)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p_plus = 0.5 * (1.0 + expectation(e, v))

@@ -140,14 +140,19 @@ def cmd_halting_demo(args) -> int:
 
 
 def cmd_self_ref_sweep(args) -> int:
-    theta_lo, theta_hi = args.theta_range
-    delta_lo, delta_hi = args.delta_range
-    if args.degrees:
-        theta_lo, theta_hi = math.radians(theta_lo), math.radians(theta_hi)
-        delta_lo, delta_hi = math.radians(delta_lo), math.radians(delta_hi)
-    # Finite bounds with min < max have a positive width, which may still overflow.
-    if not (0.0 < theta_hi - theta_lo < math.inf and 0.0 < delta_hi - delta_lo < math.inf):
-        args.error("ranges must be ordered min < max and of finite width")
+    bounds = []
+    for flag, typed in (("--theta-range", args.theta_range), ("--delta-range", args.delta_range)):
+        lo, hi = typed
+        got = f"got {lo} {hi}"
+        if not lo < hi:
+            args.error(f"argument {flag}: must be ordered MIN < MAX, {got}")
+        if args.degrees:
+            lo, hi = math.radians(lo), math.radians(hi)
+        # The width may overflow, or round to 0 in radians (a subnormal range in degrees).
+        if not 0.0 < hi - lo < math.inf:
+            args.error(f"argument {flag}: MAX - MIN in radians must be positive and finite, {got}")
+        bounds += lo, hi
+    theta_lo, theta_hi, delta_lo, delta_hi = bounds
 
     tol, steps = args.tol, args.delta_steps
 
@@ -168,16 +173,21 @@ def cmd_self_ref_sweep(args) -> int:
                 gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
                 yield theta_text, delta_text, gap, "true" if gap < tol else "false"
 
-    fields = {"theta": "s", "delta": "s", "discrepancy_angle": REAL, "fixed_point": "s"}
+    # An empty spec passes the text columns through str.format unparsed.
+    fields = {"theta": "", "delta": "", "discrepancy_angle": REAL, "fixed_point": ""}
     return _write(args.output, _lines(args.format, fields, rows()))
 
 
 def cmd_trajectory(args) -> int:
     rate = math.radians(args.rate) if args.degrees else args.rate
+    # rate times the end of the grid farther from 0 is its largest angle, in either sign.
+    flag, t = ("--t-start", args.t_start) if -args.t_start > args.t_end else ("--t-end", args.t_end)
+    if not math.isfinite(rate * t):
+        args.error(f"--rate {args.rate} times {flag} {t} is not finite")
     spec = EvolutionSpec(axis=args.axis, rate=rate, picture=Picture(args.picture))
     try:
         samples = trajectory(spec, args.input, args.t_start, args.t_end, args.steps)
-    except ValueError as exc:  # a bad time range, or rate * t overflowing to inf
+    except ValueError as exc:  # a bad time range
         args.error(str(exc))
     rows = ((s.time_label, *s.vector) for s in samples)
     fields = dict.fromkeys(("time_label", "vx", "vy", "vz"), REAL)

@@ -104,8 +104,10 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
 
     Returns the two outputs (rotation by +angle and by -angle about the
     axis), the geodesic angle between them, and the halt status, which is
-    true in both pictures regardless.  One SO(3) matrix R gives both: R b
-    and R^T b, the transports of rotate_state and rotate_observable.
+    true in both pictures regardless.  Both readings come from one pass over
+    R's nine entries: R b, then R^T b, each with _transport's expressions, so
+    rotate_state and rotate_observable bit for bit.  tuple.__new__ builds the
+    report without the Python frame of namedtuple's __new__.
 
     R comes from a memo of the first _SO3_MEMO_SIZE distinct (axis, angle)
     inputs of the process; _axis_rotation builds a later one afresh and it
@@ -124,14 +126,23 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
         with _so3_lock:
             if len(_so3_memo) < _SO3_MEMO_SIZE:
                 _so3_memo[key] = r
-    basis = bloch_vector(basis)
-    s0, s1, s2 = schrodinger_output = _transport(r, basis, inverse=False)
-    h0, h1, h2 = heisenberg_output = _transport(r, basis, inverse=True)
+    x, y, z = bloch_vector(basis)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    wx = r00 * x + r01 * y + r02 * z
+    wy = r10 * x + r11 * y + r12 * z
+    wz = r20 * x + r21 * y + r22 * z
+    norm = math.hypot(wx, wy, wz)
+    s0, s1, s2 = wx / norm, wy / norm, wz / norm
+    wx = r00 * x + r10 * y + r20 * z
+    wy = r01 * x + r11 * y + r21 * z
+    wz = r02 * x + r12 * y + r22 * z
+    norm = math.hypot(wx, wy, wz)
+    h0, h1, h2 = wx / norm, wy / norm, wz / norm
     dot = s0 * h0 + s1 * h1 + s2 * h2
     cross = math.hypot(s1 * h2 - s2 * h1, s2 * h0 - s0 * h2, s0 * h1 - s1 * h0)
     # atan2(|s x h|, s . h) equals arccos(s . h) but keeps angles near 0 and
     # pi at full precision; acos alone has a ~1e-8 noise floor there.
-    return SelfRefReport(schrodinger_output, heisenberg_output, math.atan2(cross, dot), True)
+    return tuple.__new__(SelfRefReport, ((s0, s1, s2), (h0, h1, h2), math.atan2(cross, dot), True))
 
 
 def is_fixed_point(axis, angle, basis, tol: float = FIXED_POINT_TOL) -> bool:
@@ -140,8 +151,8 @@ def is_fixed_point(axis, angle, basis, tol: float = FIXED_POINT_TOL) -> bool:
     Geometrically this holds exactly for basis = +-axis or angle = k*pi;
     the implementation only compares the computed discrepancy against tol.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return self_reference(axis, angle, basis).discrepancy_angle < tol
 
 

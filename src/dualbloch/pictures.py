@@ -86,8 +86,12 @@ def trajectory(
     vector = bloch_vector(vector)
     reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
     # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
+    # tuple.__new__ makes the record without namedtuple's Python-level __new__.
     return (
-        TrajectorySample(0.0 - t if reversed_labels else t, evolve(spec, vector, t), spec.picture)
+        tuple.__new__(
+            TrajectorySample,
+            (0.0 - t if reversed_labels else t, evolve(spec, vector, t), spec.picture),
+        )
         for t in _linspace(t_start, t_end, steps)
     )
 

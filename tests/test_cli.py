@@ -618,7 +618,7 @@ _HALTING = ("halting-demo", "--system", "0", "0", "1", "--picture", "schrodinger
         (
             ("self-ref-sweep", "--theta-steps", "3", "--delta-steps", "3",
              "--delta-range", "-1e308", "1e308"),
-            2, b"ranges must be ordered",
+            2, b"argument --delta-range: MAX - MIN in radians must be positive and finite",
         ),
     ],
     ids=["t-start -1e-3", "axis -1e-3", "t-start -inf", "delta-range -1e308"],
@@ -659,15 +659,23 @@ _USAGE_ERRORS = {
         f"{_SWEEP_OK} --delta-range nan 1", "argument --delta-range: must be finite, got 'nan'"
     ),
     "theta-range-order": (
-        f"{_SWEEP_OK} --theta-range 2 1", "ranges must be ordered min < max and of finite width"
+        f"{_SWEEP_OK} --theta-range 2 1",
+        "argument --theta-range: must be ordered MIN < MAX, got 2.0 1.0",
     ),
     "delta-range-width": (
         f"{_SWEEP_OK} --delta-range -1e308 1e308",
-        "ranges must be ordered min < max and of finite width",
+        "argument --delta-range: MAX - MIN in radians must be positive and finite,"
+        " got -1e+308 1e+308",
     ),
     "delta-range-width-positional": (
         f"{_SWEEP_OK} --delta-range -{_NINES} {_NINES}",
-        "ranges must be ordered min < max and of finite width",
+        "argument --delta-range: MAX - MIN in radians must be positive and finite,"
+        " got -1e+308 1e+308",
+    ),
+    "theta-range-degrees-subnormal": (  # ordered, but both ends round to 0 in radians
+        f"{_SWEEP_OK} --degrees --theta-range 5e-324 1e-323",
+        "argument --theta-range: MAX - MIN in radians must be positive and finite,"
+        " got 5e-324 1e-323",
     ),
     "delta-nan": (f"{_HALTING_OK} --delta nan", "argument --delta: must be finite, got 'nan'"),
     "axis-inf": (f"{_HALTING_OK} --axis inf 1 0", "argument --axis: must be finite, got 'inf'"),
@@ -695,7 +703,14 @@ _USAGE_ERRORS = {
         f"{_TRAJECTORY_OK} --t-start -1e308 --t-end 1e308",
         "need t_start < t_end and a finite width, got [-1e+308, 1e+308]",
     ),
-    "angle": (f"{_TRAJECTORY_OK} --rate 1e300 --t-end 1e300", "angle must be finite"),
+    "angle": (
+        f"{_TRAJECTORY_OK} --rate 1e300 --t-end 1e300",
+        "--rate 1e+300 times --t-end 1e+300 is not finite",
+    ),
+    "angle-t-start": (
+        f"{_TRAJECTORY_OK} --rate 1e300 --t-start -1e300",
+        "--rate 1e+300 times --t-start -1e+300 is not finite",
+    ),
     "trials": (f"{_EQUIV_OK} --trials 0", "argument --trials: must be >= 1, got 0"),
     "seed-negative": (f"{_EQUIV_OK} --seed -1", "argument --seed: must be >= 0, got -1"),
     "seed-fraction": (f"{_EQUIV_OK} --seed 1.5", "argument --seed: invalid int value: '1.5'"),

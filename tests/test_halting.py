@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbloch import halting
+from dualbloch._kernel import _axis_rotation, _transport, bloch_vector, normalized, unit_axis
 from dualbloch.bloch import (
     adjoint_rotation,
     expectation,
@@ -20,12 +21,13 @@ from dualbloch.bloch import (
 from dualbloch.halting import (
     HALT_POLE,
     HaltingMachine,
+    SelfRefReport,
     discrepancy_closed_form,
     is_fixed_point,
     run,
     self_reference,
 )
-from dualbloch.pictures import EvolutionSpec, Picture, trajectory
+from dualbloch.pictures import EvolutionSpec, Picture, TrajectorySample, trajectory
 from dualbloch.su2 import SIGMA_X, make_unitary
 
 from matrices import CORNER_ANGLES, CORNERS, ORACLE_ANGLES, bits, near_unit_vector, worst
@@ -218,21 +220,77 @@ def test_self_reference_quarter_turn_splits_by_pi():
     assert report.halted_in_both
 
 
-def test_self_reference_outputs_are_the_two_transports_bit_for_bit():
+def _assert_is_the_two_transports(axis, delta, basis):
     # One SO(3) matrix serves both readings; the outputs must not drift from
-    # rotate_state and rotate_observable by even one ulp or one sign of zero.
+    # _transport, rotate_state and rotate_observable by even one ulp or one
+    # sign of zero, and the gap must be the angle between those two outputs.
+    case = (axis, delta, basis)
+    report = self_reference(axis, delta, basis)
+    r, b = _axis_rotation(unit_axis(axis), delta), bloch_vector(basis)
+    s, h = _transport(r, b, False), _transport(r, b, True)
+    assert bits(report.schrodinger_output) == bits(s), case
+    assert bits(report.heisenberg_output) == bits(h), case
+    u = make_unitary(axis, delta)
+    assert bits(report.schrodinger_output) == bits(rotate_state(u, basis)), case
+    assert bits(report.heisenberg_output) == bits(rotate_observable(u, basis)), case
+    dot = s[0] * h[0] + s[1] * h[1] + s[2] * h[2]
+    cross = math.hypot(
+        s[1] * h[2] - s[2] * h[1], s[2] * h[0] - s[0] * h[2], s[0] * h[1] - s[1] * h[0]
+    )
+    gap = struct.pack("d", math.atan2(cross, dot))
+    assert struct.pack("d", report.discrepancy_angle) == gap, case
+
+
+def test_self_reference_outputs_are_the_two_transports_bit_for_bit():
     cases = [(axis, delta, b) for axis in CORNERS for delta in CORNER_ANGLES for b in CORNERS]
     rng = np.random.default_rng(63)
     for draw in (random_unit_vector, near_unit_vector):
         for _ in range(300):
             axis, basis = draw(rng), draw(rng)
             cases.append((axis, float(rng.uniform(-4 * math.pi, 4 * math.pi)), basis))
-    for axis, delta, basis in cases:
-        u = make_unitary(axis, delta)
-        report = self_reference(axis, delta, basis)
-        case = (axis, delta, basis)
-        assert bits(report.schrodinger_output) == bits(rotate_state(u, basis)), case
-        assert bits(report.heisenberg_output) == bits(rotate_observable(u, basis)), case
+    for case in cases:
+        _assert_is_the_two_transports(*case)
+
+
+# Signed zeros and subnormals, which the validators pass through unscaled
+# when the vector is of unit norm, and keep (or scale) otherwise.
+_TINY = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310))
+_COMPONENT = _TINY | st.floats(-1e-300, 1e-300) | st.floats(-1.0, 1.0)
+_EDGE_VECTORS = (
+    st.tuples(_COMPONENT, _COMPONENT, st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
+    .flatmap(st.permutations)
+    .map(normalized)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    axis=st.sampled_from(CORNERS) | _EDGE_VECTORS,
+    delta=st.sampled_from(CORNER_ANGLES) | _TINY | st.floats(-4 * math.pi, 4 * math.pi),
+    basis=st.sampled_from(CORNERS) | _EDGE_VECTORS,
+)
+def test_self_reference_is_the_two_transports_on_signed_zeros_and_subnormals(axis, delta, basis):
+    _assert_is_the_two_transports(axis, delta, basis)
+
+
+def test_self_reference_and_trajectory_build_their_own_record_types():
+    # Both records are made by tuple.__new__; each must still be exactly its
+    # named tuple, with its fields, _replace, equality and a pickle round trip.
+    report = self_reference(Y_AXIS, 1.0, Z_AXIS)
+    sample = next(trajectory(EvolutionSpec(Y_AXIS), Z_AXIS, 0.0, 1.0, 2))
+    fields = {
+        SelfRefReport: (
+            "schrodinger_output", "heisenberg_output", "discrepancy_angle", "halted_in_both"
+        ),
+        TrajectorySample: ("time_label", "vector", "picture"),
+    }
+    for record, cls in ((report, SelfRefReport), (sample, TrajectorySample)):
+        assert type(record) is cls and record._fields == fields[cls]
+        assert record == cls(*record)
+        replaced = record._replace(**{cls._fields[0]: None})
+        assert type(replaced) is cls and replaced == (None, *record[1:])
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is cls and again == record
 
 
 def test_self_reference_on_axis_basis_agrees():

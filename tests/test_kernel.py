@@ -222,6 +222,19 @@ _REJECTED = {
         )
         for shots in (2.5, 0.5)
     },
+    "rng_seed": (
+        lambda: bloch.measure_sample(_Z, _Z, rng_seed=-1, shots=1),
+        ValueError,
+        "rng_seed must be >= 0, got -1",
+    ),
+    **{
+        f"rng_seed-{seed}": (
+            lambda seed=seed: bloch.measure_sample(_Z, _Z, rng_seed=seed, shots=1),
+            TypeError,
+            _NOT_AN_INT,
+        )
+        for seed in (1.5, math.nan)
+    },
     "EvolutionSpec-picture": (
         lambda: pictures.EvolutionSpec(_AXIS, 1.0, "schrodinger"),
         ValueError,
@@ -274,9 +287,9 @@ _REJECTED = {
         f"tol-{tol}": (
             lambda tol=tol: halting.is_fixed_point(_AXIS, 1.0, _Z, tol=tol),
             ValueError,
-            f"tol must be positive, got {tol}",
+            f"tol must be positive and finite, got {tol}",
         )
-        for tol in (0.0, -1.0, math.nan)
+        for tol in (0.0, -1.0, math.nan, math.inf)
     },
 }
 
