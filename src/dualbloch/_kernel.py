@@ -1,11 +1,15 @@
 """The rotation path on plain floats, without numpy: the 3-vector validators
-(su2 and bloch export these same objects), the SO(3) matrix of an axis and
-angle, transport, expectation and grids.  A vector is a float triple; a
-rejected input raises a ValueError that names it.
+(su2 and bloch export these same objects), the SO(3) matrix of a quaternion
+or an axis and angle, transport, expectation and grids.  A vector is a float
+triple; a rejected input raises a ValueError that names it.
 
 Every vector a validator returns is a fixed point of all three validators:
 a float tuple of unit norm to within one ulp comes back as the same object,
 so checking a vector twice gives the bits of checking it once.
+
+A rotation is built from the unit quaternion (c, sx, sy, sz) of its SU(2)
+element [[alpha, beta], [-beta*, alpha*]] = c I - i (sx X + sy Y + sz Z):
+(c, sx, sy, sz) = (Re alpha, -Im beta, -Re beta, -Im alpha).
 
 The module holds no state, and its private builders check nothing: they
 take inputs that a public function has checked.
@@ -100,14 +104,20 @@ def normalized(components) -> tuple[float, float, float]:
 
 def _axis_rotation(axis, angle: float) -> tuple[float, ...]:
     """The SO(3) matrix of su2.make_unitary(axis, angle), for an axis that
-    unit_axis returned and a finite float angle: bloch._rotation_of that
-    unitary bit for bit, signs of zero included.  Up to sign, each term there
-    is one of ten products, as (-s) * x == -(s * x) and p * q == q * p
-    exactly; each entry keeps its expression tree and only shares them.
-    abs(complex(p, q)) is libm's hypot(p, q), which math.hypot is not."""
+    unit_axis returned and a finite float angle: the quaternion with
+    cos(angle / 2) and sin(angle / 2) * axis through _quaternion_rotation."""
     x, y, z = axis
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    sx, sy, sz = s * x, s * y, s * z
+    return _quaternion_rotation(c, s * x, s * y, s * z)
+
+
+def _quaternion_rotation(c: float, sx: float, sy: float, sz: float) -> tuple[float, ...]:
+    """The SO(3) matrix of [[alpha, beta], [-beta*, alpha*]] for a unit
+    (c, sx, sy, sz) = (Re alpha, -Im beta, -Re beta, -Im alpha): bloch._rotation_of
+    of that matrix bit for bit, signs of zero included.  Up to sign, each term
+    there is one of ten products, as (-s) * x == -(s * x) and p * q == q * p
+    exactly; each entry keeps its expression tree and only shares them.
+    abs(complex(p, q)) is libm's hypot(p, q), which math.hypot is not."""
     cx, cy, cz = c * sx, c * sy, c * sz
     xy, xz, yz = sx * sy, sx * sz, sy * sz
     re_ad, re_bc, im_bc = c * c - sz * sz, -(sy * sy) + sx * sx, -xy - xy
@@ -143,8 +153,13 @@ def expectation(e, v) -> float:
     Round-off overshoots beyond +-1 smaller than 1e-12 are clamped; anything
     larger is returned as computed.
     """
-    ex, ey, ez = bloch_vector(e)
-    vx, vy, vz = bloch_vector(v)
+    return _expectation(bloch_vector(e), bloch_vector(v))
+
+
+def _expectation(e: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """expectation(e, v) for two vectors that a validator returned."""
+    ex, ey, ez = e
+    vx, vy, vz = v
     d = ex * vx + ey * vy + ez * vz
     if 1.0 < abs(d) < 1.0 + 1e-12:
         d = math.copysign(1.0, d)

@@ -20,7 +20,8 @@ import re
 import sys
 
 from . import _report
-from ._kernel import _linspace, _transport, bloch_vector, expectation, normalized
+from ._kernel import _expectation, _linspace, _quaternion_rotation, _transport, bloch_vector
+from ._kernel import normalized
 from .halting import _SO3_MEMO_SIZE, FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, trajectory
 
@@ -105,7 +106,7 @@ def _write(path: str, lines) -> int:
 def cmd_equiv_check(args) -> int:
     try:
         import numpy as np
-        from .bloch import _NormalBlocks, _rotation_of, haar_random_unitary, random_unit_vector
+        from .bloch import _NormalBlocks, haar_random_unitary, random_unit_vector
     except ImportError as exc:
         _report(f"error: equiv-check needs numpy: {exc}")
         return 1
@@ -113,12 +114,15 @@ def cmd_equiv_check(args) -> int:
     rng = _NormalBlocks(np.random.default_rng(args.seed))
     max_dev = 0.0
     for _ in range(args.trials):
-        # The bodies of rotate_state(u, v) and rotate_observable(u, e), on one R.
-        r = _rotation_of(haar_random_unitary(rng))
-        e = random_unit_vector(rng)
-        v = random_unit_vector(rng)
-        state = _transport(r, bloch_vector(v), False)
-        dev = abs(expectation(e, state) - expectation(_transport(r, bloch_vector(e), True), v))
+        # The bodies of rotate_state(u, v) and rotate_observable(u, e) on one R,
+        # built from u's quaternion, with each distinct vector checked once.
+        (alpha, beta), _ = haar_random_unitary(rng).tolist()
+        r = _quaternion_rotation(alpha.real, -beta.imag, -beta.real, -alpha.imag)
+        e = bloch_vector(random_unit_vector(rng))
+        v = bloch_vector(random_unit_vector(rng))
+        state = bloch_vector(_transport(r, v, False))
+        obs = bloch_vector(_transport(r, e, True))
+        dev = abs(_expectation(e, state) - _expectation(obs, v))
         if dev > max_dev or dev != dev:  # a NaN sticks: max() would drop it
             max_dev = dev
     ok = max_dev < EQUIV_THRESHOLD

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -231,12 +232,12 @@ def test_equiv_check_requires_a_seed():
 
 
 def test_equiv_check_fails_on_a_nan_deviation(monkeypatch):
-    calls, real = itertools.count(), cli.expectation
+    calls, real = itertools.count(), cli._expectation
 
     def nan_once(e, v):  # the 11th of 40 calls, in trial 6 of 20: later trials are finite
         return math.nan if next(calls) == 10 else real(e, v)
 
-    monkeypatch.setattr(cli, "expectation", nan_once)
+    monkeypatch.setattr(cli, "_expectation", nan_once)
     run = _main("equiv-check", "--trials", 20, "--seed", 1)
     assert (run.returncode, run.exited, run.stderr) == (1, False, b"")
     assert run.stdout == (
@@ -256,11 +257,14 @@ def _counted(monkeypatch, module, name, log):
 
 
 def test_equiv_check_builds_one_rotation_per_trial(monkeypatch):
+    # R from u's quaternion, with the bits of the general U(2) path on u.
     log = []
-    for name in ("_rotation_of", "haar_random_unitary"):
-        _counted(monkeypatch, bloch, name, log)
+    _counted(monkeypatch, bloch, "haar_random_unitary", log)
+    _counted(monkeypatch, cli, "_quaternion_rotation", log)
     assert _main("equiv-check", "--trials", 50, "--seed", 3).returncode == 0
-    assert [name for name, _, _ in log] == ["haar_random_unitary", "_rotation_of"] * 50
+    assert [name for name, _, _ in log] == ["haar_random_unitary", "_quaternion_rotation"] * 50
+    for (_, _, u), (_, _, r) in zip(log[::2], log[1::2]):
+        assert struct.pack("9d", *r) == struct.pack("9d", *bloch._rotation_of(u))
 
 
 def test_equiv_check_transports_have_the_public_functions_bits(monkeypatch):
@@ -268,14 +272,21 @@ def test_equiv_check_transports_have_the_public_functions_bits(monkeypatch):
     _counted(monkeypatch, bloch, "haar_random_unitary", log)
     _counted(monkeypatch, bloch, "random_unit_vector", log)
     _counted(monkeypatch, cli, "_transport", log)
+    _counted(monkeypatch, cli, "_expectation", log)
     trials = 10_000
-    assert _main("equiv-check", "--trials", trials, "--seed", 2).returncode == 0
-    assert len(log) == 5 * trials
-    for i in range(0, len(log), 5):  # per trial: u, e, v, then the two transports
-        (_, _, u), (_, _, e), (_, _, v) = log[i : i + 3]
-        transports = {args[2]: out for _, args, out in log[i + 3 : i + 5]}
-        assert bits(transports[False]) == bits(bloch.rotate_state(u, v))
-        assert bits(transports[True]) == bits(bloch.rotate_observable(u, e))
+    for seed in (2, 5):
+        log.clear()
+        assert _main("equiv-check", "--trials", trials, "--seed", seed).returncode == 0
+        assert len(log) == 7 * trials
+        for i in range(0, len(log), 7):  # per trial: u, e, v, two transports, two expectations
+            (_, _, u), (_, _, e), (_, _, v) = log[i : i + 3]
+            transports = {args[2]: out for _, args, out in log[i + 3 : i + 5]}
+            state, obs = bloch.rotate_state(u, v), bloch.rotate_observable(u, e)
+            assert bits(transports[False]) == bits(state)
+            assert bits(transports[True]) == bits(obs)
+            (_, _, schrodinger), (_, _, heisenberg) = log[i + 5 : i + 7]
+            dev = abs(bloch.expectation(e, state) - bloch.expectation(obs, v))
+            assert struct.pack("d", abs(schrodinger - heisenberg)) == struct.pack("d", dev)
 
 
 @pytest.mark.parametrize("seed", [5, 2201])

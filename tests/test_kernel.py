@@ -702,6 +702,33 @@ def test_axis_rotation_has_the_bits_of_the_rotation_of_the_entries(axis, angle):
     assert struct.pack("9d", *_kernel._axis_rotation(axis, angle)) == want
 
 
+def _unit_quaternion(q):
+    norm = math.hypot(*q)
+    return tuple(x / norm for x in q)
+
+
+# Each component signed zero, subnormal, tiny or ordinary, then the whole scaled to unit norm.
+_quaternions = (
+    st.tuples(*[_ZEROS | st.floats(-1e-300, 1e-300) | st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda q: math.hypot(*q) > 1e-300)
+    .map(_unit_quaternion)
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(q=_quaternions)
+@example(q=(1.0, -0.0, 0.0, -0.0))
+@example(q=(-0.0, 5e-324, -1.0, -(2.0**-1022)))
+def test_quaternion_rotation_has_the_bits_of_the_rotation_of_its_su2_matrix(q):
+    # Any SU(2) matrix, not only make_unitary's: equiv-check builds each R
+    # from a Haar draw's entries this way.  struct.pack, so signs of zero count.
+    ar, ai, br, bi = q
+    alpha, beta = complex(ar, ai), complex(br, bi)
+    want = bloch._rotation_of([[alpha, beta], [-beta.conjugate(), alpha.conjugate()]])
+    got = _kernel._quaternion_rotation(alpha.real, -beta.imag, -beta.real, -alpha.imag)
+    assert struct.pack("9d", *got) == struct.pack("9d", *want)
+
+
 # ---------------------------------------------------- time reversal, bit for bit
 
 _LIBM = "time reversal is bit for bit only where libm's cos is even and its sin odd"
