@@ -23,7 +23,7 @@ from . import _report
 from ._kernel import _expectation, _linspace, _quaternion_rotation, _transport, bloch_vector
 from ._kernel import normalized
 from .halting import _SO3_MEMO_SIZE, FIXED_POINT_TOL, HaltingMachine, run, self_reference
-from .pictures import EvolutionSpec, Picture, trajectory
+from .pictures import EvolutionSpec, Picture, _rows
 
 EQUIV_THRESHOLD = 1e-12
 REAL = ".17g"  # 17 significant digits round-trip any double losslessly
@@ -190,10 +190,9 @@ def cmd_trajectory(args) -> int:
         args.error(f"--rate {args.rate} times {flag} {t} is not finite")
     spec = EvolutionSpec(axis=args.axis, rate=rate, picture=Picture(args.picture))
     try:
-        samples = trajectory(spec, args.input, args.t_start, args.t_end, args.steps)
+        rows = _rows(spec, args.input, args.t_start, args.t_end, args.steps)
     except ValueError as exc:  # a bad time range
         args.error(str(exc))
-    rows = ((s.time_label, *s.vector) for s in samples)
     fields = dict.fromkeys(("time_label", "vx", "vy", "vz"), REAL)
     return _write("-", _lines(args.format, fields, rows))
 

@@ -65,6 +65,24 @@ def evolve(spec: EvolutionSpec, vector, t: float) -> tuple[float, float, float]:
     return _transport(r, bloch_vector(vector), inverse)
 
 
+def _rows(spec: EvolutionSpec, vector, t_start: float, t_end: float, steps: int):
+    """trajectory's checks, then its samples as flat (time_label, vx, vy, vz) rows."""
+    steps = operator.index(steps)
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    t_start = _finite(t_start, "t_start")
+    t_end = _finite(t_end, "t_end")
+    if not 0.0 < t_end - t_start < math.inf:
+        raise ValueError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
+    _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
+    vector = bloch_vector(vector)
+    grid = _linspace(t_start, t_end, steps)
+    # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
+    if spec.picture is Picture.HEISENBERG_REVERSED:
+        return ((0.0 - t, *evolve(spec, vector, t)) for t in grid)
+    return ((t, *evolve(spec, vector, t)) for t in grid)
+
+
 def trajectory(
     spec: EvolutionSpec, vector, t_start: float, t_end: float, steps: int
 ) -> Iterator[TrajectorySample]:
@@ -75,25 +93,8 @@ def trajectory(
     vector at physical time t.  Every argument is checked before this
     returns; each grid point and its sample are computed as they are consumed.
     """
-    steps = operator.index(steps)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    t_start = _finite(t_start, "t_start")
-    t_end = _finite(t_end, "t_end")
-    if not 0.0 < t_end - t_start < math.inf:
-        raise ValueError(f"need t_start < t_end and a finite width, got [{t_start}, {t_end}]")
-    _finite(spec.rate * max(-t_start, t_end), "angle")  # no grid point has a larger |t|
-    vector = bloch_vector(vector)
-    reversed_labels = spec.picture is Picture.HEISENBERG_REVERSED
-    # 0.0 - t rather than -t keeps the t = 0 label from printing as -0.
-    # tuple.__new__ makes the record without namedtuple's Python-level __new__.
-    return (
-        tuple.__new__(
-            TrajectorySample,
-            (0.0 - t if reversed_labels else t, evolve(spec, vector, t), spec.picture),
-        )
-        for t in _linspace(t_start, t_end, steps)
-    )
+    rows = _rows(spec, vector, t_start, t_end, steps)
+    return (TrajectorySample(label, (x, y, z), spec.picture) for label, x, y, z in rows)
 
 
 def reversed_label_equivalence(axis, rate, vector, t_grid) -> bool:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualbloch import bloch, cli, halting
+from dualbloch import bloch, cli, halting, pictures
 from goldens import RUNS, contract_verdict
 from helpers import cli_env, run_cli
 from matrices import bits
@@ -793,6 +793,37 @@ def test_trajectory_jsonl_matches_csv():
     jsonl_rows = _jsonl_rows(run_cli(*base, "--format", "jsonl").stdout)
     for a, b in zip(csv_rows, jsonl_rows):
         assert a == b
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("picture", [p.value for p in pictures.Picture])
+def test_trajectory_rows_have_the_samples_bits_and_evolve_once_per_row(monkeypatch, picture, fmt):
+    # The command writes pictures._rows without a TrajectorySample per row,
+    # so each cell is read back and held to the bits of trajectory()'s sample.
+    # The grid meets t = 0 (a "-0" label would differ in its sign bit), and
+    # the input is normalized by the CLI first.
+    axis, vector, steps = (1.0, 2.0, 2.0), (1.0, -2.0, 0.5), 23
+    spec = pictures.EvolutionSpec(bloch.normalized(axis), 0.7, pictures.Picture(picture))
+    want = [
+        (s.time_label, *s.vector)
+        for s in pictures.trajectory(spec, bloch.normalized(vector), -1.5, 4.0, steps)
+    ]
+    calls = []
+    real = pictures.evolve
+    monkeypatch.setattr(pictures, "evolve", lambda *args: calls.append(args) or real(*args))
+    run = _main("trajectory", "--picture", picture, "--axis", *axis, "--input", *vector,
+                "--rate", 0.7, "--t-start", -1.5, "--t-end", 4, "--steps", steps,
+                "--format", fmt)  # fmt: skip
+    assert (run.returncode, run.stderr) == (0, b"")
+    # The benchmark counts pictures.evolve once per row.
+    assert len(calls) == steps
+    lines = run.stdout.decode().splitlines()
+    if fmt == "csv":
+        assert lines.pop(0) == "time_label,vx,vy,vz"
+        got = [tuple(map(float, line.split(","))) for line in lines]
+    else:  # parse_int: json reads "-0" as the int 0, which has no sign
+        got = [tuple(json.loads(line, parse_int=float).values()) for line in lines]
+    assert [struct.pack("4d", *row) for row in got] == [struct.pack("4d", *row) for row in want]
 
 
 def test_trajectory_usage_errors():

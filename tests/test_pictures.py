@@ -1,5 +1,6 @@
 import math
 import operator
+import struct
 
 import numpy as np
 import pytest
@@ -134,33 +135,52 @@ def test_a_grid_with_more_points_than_a_float_can_count_streams():
     assert first == next(trajectory(SCHRO, Z, 0.0, 1.0, 2))
     # A grid of any size is drawn point by point: nothing is allocated up front.
     assert next(trajectory(SCHRO, Z, 0.0, 1.0, 10**17)).time_label == 0.0
+    assert next(pictures._rows(HEIS_REV, Z, 0.0, 1.0, 10**17)) == (0.0, *Z)
+
+
+@pytest.mark.parametrize("spec", [SCHRO, HEIS, HEIS_REV], ids=lambda s: s.picture.value)
+def test_trajectory_samples_are_the_rows_in_the_public_record(spec):
+    vector = (0.6, 0.0, 0.8)
+    rows = list(pictures._rows(spec, vector, -1.0, 2.0, 7))
+    samples = list(trajectory(spec, vector, -1.0, 2.0, 7))
+    assert len(samples) == len(rows) == 7
+    for sample, (label, *v) in zip(samples, rows):
+        assert type(sample) is pictures.TrajectorySample
+        assert sample.picture is spec.picture
+        assert type(sample.vector) is tuple and len(sample.vector) == 3
+        assert all(type(c) is float for c in (sample.time_label, *sample.vector))
+        assert struct.pack("4d", sample.time_label, *sample.vector) == struct.pack("4d", label, *v)
 
 
 def test_trajectory_rejects_bad_grids():
-    with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
-        trajectory(SCHRO, Z, 0.0, 1.0, 1)
-    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[1.0, 1.0\]"):
-        trajectory(SCHRO, Z, 1.0, 1.0, 5)
-    with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[2.0, 1.0\]"):
-        trajectory(SCHRO, Z, 2.0, 1.0, 5)
-    # Each bound is finite, but t_end - t_start overflows to inf.
-    with pytest.raises(ValueError, match="finite width"):
-        trajectory(SCHRO, Z, -1e308, 1e308, 5)
-    # A step count must be an integer, not truncated to one.
-    with pytest.raises(TypeError):
-        trajectory(SCHRO, Z, 0.0, 1.0, 2.9)
+    # The CLI writes pictures._rows, which makes trajectory's checks.
+    for sample in (trajectory, pictures._rows):
+        with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
+            sample(SCHRO, Z, 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[1.0, 1.0\]"):
+            sample(SCHRO, Z, 1.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[2.0, 1.0\]"):
+            sample(SCHRO, Z, 2.0, 1.0, 5)
+        # Each bound is finite, but t_end - t_start overflows to inf.
+        with pytest.raises(ValueError, match="finite width"):
+            sample(SCHRO, Z, -1e308, 1e308, 5)
+        # A step count must be an integer, not truncated to one.
+        with pytest.raises(TypeError):
+            sample(SCHRO, Z, 0.0, 1.0, 2.9)
 
 
 def test_trajectory_checks_everything_before_it_returns():
     # The samples are computed lazily, so every error must come from the
     # call itself: rate * t overflowing at either end, or a bad input vector.
+    # The CLI's rows come from pictures._rows, so it must check the same.
     fast = EvolutionSpec(Y_AXIS, 1e300, Picture.SCHRODINGER)
-    with pytest.raises(ValueError, match="angle must be finite"):
-        trajectory(fast, Z, 0.0, 1e300, 5)
-    with pytest.raises(ValueError, match="angle must be finite"):
-        trajectory(fast, Z, -1e300, 0.0, 5)
-    with pytest.raises(ValueError, match="Bloch vector"):
-        trajectory(SCHRO, (0.0, 0.0, 2.0), 0.0, 1.0, 5)
+    for sample in (trajectory, pictures._rows):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            sample(fast, Z, 0.0, 1e300, 5)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            sample(fast, Z, -1e300, 0.0, 5)
+        with pytest.raises(ValueError, match="Bloch vector"):
+            sample(SCHRO, (0.0, 0.0, 2.0), 0.0, 1.0, 5)
 
 
 def test_evolution_spec_validates_inputs():
