@@ -56,6 +56,8 @@ def measure_sample(e, v, rng_seed: int, shots: int) -> np.ndarray:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > np.iinfo(np.intp).max // 8:  # numpy's largest float64 array
+        raise ValueError(f"shots must be <= {np.iinfo(np.intp).max // 8}, got {shots}")
     p_plus = 0.5 * (1.0 + expectation(e, v))
     rng = np.random.default_rng(rng_seed)
     return np.where(rng.random(shots) < p_plus, 1, -1)

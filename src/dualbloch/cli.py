@@ -4,9 +4,9 @@ sweeps, and trajectory traces as plot-ready CSV or JSON-Lines.
 Data goes to stdout, all of it through _write; diagnostics through _report to stderr.
 Exit codes: 0 success or property holds, 1 property violated or I/O failure
 (a closed pipe included), 2 usage error, always in argparse's shape: the
-parser checks each flag, the commands how flags relate and what the library
-rejects (through parser.error).  Angles are radians unless --degrees is
-given.  Randomized commands take an explicit --seed, with no clock default.
+parser checks each flag, the commands how flags relate (parser.error), so
+the library rejects nothing they pass on.  Angles are radians unless --degrees
+is given.  Randomized commands take an explicit --seed, with no clock default.
 Only equiv-check, whose trials come from numpy's PCG64 stream, loads numpy.
 """
 
@@ -183,16 +183,17 @@ def cmd_self_ref_sweep(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if not args.t_start < args.t_end:
+        args.error(f"--t-start {args.t_start} is not below --t-end {args.t_end}")
+    if not math.isfinite(args.t_end - args.t_start):
+        args.error(f"--t-end {args.t_end} minus --t-start {args.t_start} is not finite")
     rate = math.radians(args.rate) if args.degrees else args.rate
     # rate times the end of the grid farther from 0 is its largest angle, in either sign.
     flag, t = ("--t-start", args.t_start) if -args.t_start > args.t_end else ("--t-end", args.t_end)
     if not math.isfinite(rate * t):
         args.error(f"--rate {args.rate} times {flag} {t} is not finite")
     spec = EvolutionSpec(axis=args.axis, rate=rate, picture=Picture(args.picture))
-    try:
-        rows = _rows(spec, args.input, args.t_start, args.t_end, args.steps)
-    except ValueError as exc:  # a bad time range
-        args.error(str(exc))
+    rows = _rows(spec, args.input, args.t_start, args.t_end, args.steps)
     fields = dict.fromkeys(("time_label", "vx", "vy", "vz"), REAL)
     return _write("-", _lines(args.format, fields, rows))
 

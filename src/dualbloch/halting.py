@@ -16,6 +16,7 @@ from __future__ import annotations
 import _thread
 import math
 import struct
+import sys
 from collections import namedtuple
 
 from ._kernel import _axis_rotation, _finite, _transport, bloch_vector, expectation, unit_axis
@@ -151,7 +152,7 @@ def is_fixed_point(axis, angle, basis, tol: float = FIXED_POINT_TOL) -> bool:
     Geometrically this holds exactly for basis = +-axis or angle = k*pi;
     the implementation only compares the computed discrepancy against tol.
     """
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < tol <= sys.float_info.max:  # an int past the largest float is not finite
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return self_reference(axis, angle, basis).discrepancy_angle < tol
 

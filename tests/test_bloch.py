@@ -89,20 +89,6 @@ def test_density_to_state_pole():
     np.testing.assert_allclose(density_to_state([[1, 0], [0, 0]]), Z, atol=1e-15)
 
 
-def test_density_to_state_rejects_mixed_state():
-    with pytest.raises(ValueError, match="pure-state Bloch vector norm 0.0 deviates from 1"):
-        density_to_state([[0.5, 0], [0, 0.5]])
-
-
-def test_density_to_state_rejects_non_hermitian_and_bad_trace():
-    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
-        density_to_state([[1, 0.5], [0, 0]])
-    with pytest.raises(ValueError, match=r"density matrix trace .* must be 1"):
-        density_to_state([[1, 0], [0, 0.5]])
-    with pytest.raises(ValueError, match="density matrix must be a finite 2x2 matrix"):
-        density_to_state(np.eye(3))
-
-
 # ------------------------------------------------------------- expectations
 
 
@@ -148,17 +134,6 @@ def test_measure_sample_reproducible_and_seed_sensitive():
     c = measure_sample((1, 0, 0), (0, 0, 1), rng_seed=10, shots=1000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-@pytest.mark.parametrize("shots", [2.5, 0.5])
-def test_measure_sample_takes_only_an_integer_shot_count(shots):
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=shots)
-
-
-def test_measure_sample_rejects_zero_shots():
-    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
-        measure_sample((0, 0, 1), (0, 0, 1), rng_seed=1, shots=0)
 
 
 # ------------------------------------------------------- the adjoint action
@@ -346,17 +321,6 @@ def test_rodrigues_agrees_with_conjugation():
         assert float(np.max(np.abs(np.asarray(via_conjugation) - via_closed_form))) < 1e-12
 
 
-def test_rodrigues_rejects_bad_axis():
-    with pytest.raises(ValueError, match="axis norm 0.0 deviates from 1"):
-        rodrigues((0.0, 0.0, 0.0), 1.0, (0, 0, 1))
-
-
-@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
-def test_rodrigues_rejects_a_non_finite_angle(angle):
-    with pytest.raises(ValueError, match="angle must be finite"):
-        rodrigues(Y_AXIS, angle, (0, 0, 1))
-
-
 # --------------------------------------------------------- dual-picture core
 
 
@@ -475,12 +439,6 @@ def test_random_unit_vector_redraws_a_zero_triple_inside_a_block():
 def test_bloch_vector_renormalizes_small_drift():
     v = bloch_vector((0.0, 0.0, 1.0 - 3e-7))
     assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-15
-
-
-@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, 2), (0, 0, 0.9), (math.inf, 0, 0), (1, 0)])
-def test_bloch_vector_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        bloch_vector(bad)
 
 
 def test_normalized_scales_any_nonzero_vector():

@@ -223,14 +223,6 @@ def test_equiv_check_single_trial():
     assert run_cli("equiv-check", "--trials", 1, "--seed", 7).returncode == 0
 
 
-def test_equiv_check_zero_trials_is_usage_error():
-    _assert_usage_error(_main("equiv-check", "--trials", 0, "--seed", 7))
-
-
-def test_equiv_check_requires_a_seed():
-    _assert_usage_error(_main("equiv-check", "--trials", 10))
-
-
 def test_equiv_check_fails_on_a_nan_deviation(monkeypatch):
     calls, real = itertools.count(), cli._expectation
 
@@ -353,27 +345,6 @@ def test_halting_demo_degrees_flag():
     b = json.loads(deg.stdout)
     np.testing.assert_allclose(a["system_basis_out"], b["system_basis_out"], atol=1e-15)
     np.testing.assert_allclose(a["system_basis_out"], [-1, 0, 0], atol=1e-12)
-
-
-def test_halting_demo_rejects_reversed_picture():
-    proc = _main(
-        "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
-        "--system", 0, 0, 1, "--picture", "heisenberg-reversed",
-    )
-    _assert_usage_error(proc)
-
-
-def test_halting_demo_rejects_unknown_picture_and_zero_vectors():
-    _assert_usage_error(_main(
-        "halting-demo", "--axis", 0, 1, 0, "--delta", 1,
-        "--system", 0, 0, 1, "--picture", "interaction",
-    ))
-    proc = _main(
-        "halting-demo", "--axis", 0, 0, 0, "--delta", 1,
-        "--system", 0, 0, 1, "--picture", "schrodinger",
-    )
-    _assert_usage_error(proc)
-    assert b"axis" in proc.stderr
 
 
 # -------------------------------------------------------------- self-ref-sweep
@@ -652,10 +623,11 @@ _EQUIV_OK = "equiv-check --trials 3 --seed 1"
 _NINES = "9" * 308  # 1e308 in positional notation
 
 # Every usage error, one bad flag a row: an argv, and what the last line on
-# stderr must contain, the reason and, for a check that argparse makes, the
-# flag.  A flag given twice keeps its last value, so most rows append their
-# bad flag to a good argv.  argparse words a list of choices differently from
-# one Python to the next, so a choice row stops before the list.
+# stderr must contain, the reason and the flag it names, whether argparse or
+# the command makes the check.  A flag given twice keeps its last value, so
+# most rows append their bad flag to a good argv.  argparse words a list of
+# choices differently from one Python to the next, so a choice row stops
+# before the list.
 _USAGE_ERRORS = {
     "theta-steps": (f"{_SWEEP_OK} --theta-steps 1", "argument --theta-steps: must be >= 2, got 1"),
     "delta-steps": (f"{_SWEEP_OK} --delta-steps 1", "argument --delta-steps: must be >= 2, got 1"),
@@ -707,12 +679,11 @@ _USAGE_ERRORS = {
     ),
     "steps": (f"{_TRAJECTORY_OK} --steps 1", "argument --steps: must be >= 2, got 1"),
     "t-order": (
-        f"{_TRAJECTORY_OK} --t-start 1 --t-end 0",
-        "need t_start < t_end and a finite width, got [1.0, 0.0]",
+        f"{_TRAJECTORY_OK} --t-start 1 --t-end 0", "--t-start 1.0 is not below --t-end 0.0"
     ),
     "t-width": (
         f"{_TRAJECTORY_OK} --t-start -1e308 --t-end 1e308",
-        "need t_start < t_end and a finite width, got [-1e+308, 1e+308]",
+        "--t-end 1e+308 minus --t-start -1e+308 is not finite",
     ),
     "angle": (
         f"{_TRAJECTORY_OK} --rate 1e300 --t-end 1e300",
@@ -732,6 +703,7 @@ _USAGE_ERRORS = {
 @pytest.mark.parametrize("case", _USAGE_ERRORS)
 def test_every_usage_error_names_its_flag_and_reason(case):
     argv, reason = _USAGE_ERRORS[case]
+    assert "--" in reason
     proc = _main(*argv.split())
     _assert_usage_error(proc)
     assert reason.encode() in proc.stderr.splitlines()[-1]
@@ -824,15 +796,6 @@ def test_trajectory_rows_have_the_samples_bits_and_evolve_once_per_row(monkeypat
     else:  # parse_int: json reads "-0" as the int 0, which has no sign
         got = [tuple(json.loads(line, parse_int=float).values()) for line in lines]
     assert [struct.pack("4d", *row) for row in got] == [struct.pack("4d", *row) for row in want]
-
-
-def test_trajectory_usage_errors():
-    common = ("--picture", "schrodinger", "--axis", 0, 1, 0, "--input", 0, 0, 1)
-    _assert_usage_error(_main("trajectory", *common, "--t-start", 1, "--t-end", 0, "--steps", 5))
-    _assert_usage_error(_main("trajectory", *common, "--t-start", 0, "--t-end", 1, "--steps", 1))
-    proc = _main("trajectory", *common, "--t-start", -1e308, "--t-end", 1e308, "--steps", 5)
-    _assert_usage_error(proc)
-    assert b"finite width" in proc.stderr
 
 
 # ---------------------------------------------------------- process contract
