@@ -33,8 +33,11 @@ def density_to_state(m) -> tuple[float, float, float]:
     Rejects non-Hermitian or wrong-trace input (tolerance 1e-9) and mixed
     states (Bloch norm below 1 - NORM_SLACK) rather than projecting them.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):  # a string or ragged rows, say
+        m = None
+    if m is None or m.shape != (2, 2) or not np.all(np.isfinite(m)):
         raise ValueError("density matrix must be a finite 2x2 matrix")
     if float(np.max(np.abs(m - m.conj().T))) > 1e-9:
         raise ValueError("density matrix must be Hermitian")
@@ -73,7 +76,10 @@ def _rotation_of(u) -> tuple[float, ...]:
     a libm whose cos is even and sin odd, the Heisenberg picture at -t then
     has the bits of the Schrodinger picture at t.  Products of the complex
     entries give the same nonzero bits, but can flip the sign of a zero."""
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):  # a string or ragged rows, say
+        raise ValueError(f"matrix must be a 2x2 array of numbers, got {u!r}") from None
     if u.shape != (2, 2):
         raise ValueError(f"matrix must be 2x2, got shape {u.shape}")
     (a, b), (c, d) = u.tolist()

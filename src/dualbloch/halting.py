@@ -14,6 +14,7 @@ angle is a multiple of pi, and nowhere else.  Vectors are float triples.
 from __future__ import annotations
 
 import _thread
+import contextlib
 import math
 import struct
 import sys
@@ -152,6 +153,8 @@ def is_fixed_point(axis, angle, basis, tol: float = FIXED_POINT_TOL) -> bool:
     Geometrically this holds exactly for basis = +-axis or angle = k*pi;
     the implementation only compares the computed discrepancy against tol.
     """
+    with contextlib.suppress(OverflowError):  # an int past the largest float fails below
+        math.isfinite(tol)  # a string raises math's TypeError, as every scalar check does
     if not 0.0 < tol <= sys.float_info.max:  # an int past the largest float is not finite
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return self_reference(axis, angle, basis).discrepancy_angle < tol

@@ -201,26 +201,6 @@ def test_adjoint_rotation_kills_the_sign():
         assert float(np.max(np.abs(diff))) < 1e-12
 
 
-_NOT_UNITARY = {
-    "2I": 2 * np.eye(2),
-    "zeros": np.zeros((2, 2)),
-    "nan": [[math.nan, 0], [0, 1]],
-    "3x3": np.eye(3),
-    "shear": [[1, 1], [0, 1]],
-}
-
-
-@pytest.mark.parametrize("u", list(_NOT_UNITARY.values()), ids=list(_NOT_UNITARY))
-@pytest.mark.parametrize(
-    "transport",
-    [lambda u: rotate_state(u, Z), lambda u: rotate_observable(u, Z), adjoint_rotation],
-    ids=["rotate_state", "rotate_observable", "adjoint_rotation"],
-)
-def test_matrices_that_are_not_2x2_unitaries_are_rejected(transport, u):
-    with pytest.raises(ValueError, match="matrix"):
-        transport(u)
-
-
 # ------------------------------------------------------------------ rotation
 
 

@@ -78,19 +78,22 @@ _Z_SPEC = pictures.EvolutionSpec(_AXIS)
 _Z_MACHINE = halting.HaltingMachine(_AXIS, 1.0, _Z)
 _NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": _HUGE}
 
-# Each check of a scalar, as a call on the value, and the name its message gives it.
+# Each check of a scalar, as a call on the value, and the name its message gives it
+# (trajectory's are in _BAD_TRAJECTORIES).
 _SCALARS = {
     "make_unitary": (lambda x: su2.make_unitary(_AXIS, x), "angle"),
     "rodrigues": (lambda x: bloch.rodrigues(_AXIS, x, _Z), "angle"),
     "EvolutionSpec": (lambda x: pictures.EvolutionSpec(_AXIS, x), "rate"),
     "evolve": (lambda x: pictures.evolve(_Z_SPEC, _Z, x), "t"),
-    "t_start": (lambda x: pictures.trajectory(_Z_SPEC, _Z, x, 1.0, 3), "t_start"),
-    "t_end": (lambda x: pictures.trajectory(_Z_SPEC, _Z, 0.0, x, 3), "t_end"),
     "reversed_label_equivalence": (
         lambda x: pictures.reversed_label_equivalence(_AXIS, 1.0, _Z, [x]), "t"
     ),
+    "reversed_label_equivalence-rate": (
+        lambda x: pictures.reversed_label_equivalence(_AXIS, x, _Z, [0.0]), "rate"
+    ),
     "HaltingMachine": (lambda x: halting.HaltingMachine(_AXIS, x, _Z), "angle"),
     "self_reference": (lambda x: halting.self_reference(_AXIS, x, _Z), "angle"),
+    "is_fixed_point": (lambda x: halting.is_fixed_point(_AXIS, x, _Z), "angle"),
 }
 _VECTOR_CHECKS = {
     su2.unit_axis: "axis", bloch.bloch_vector: "Bloch vector", bloch.normalized: "vector"
@@ -115,18 +118,34 @@ _AXIS_TAKERS = {  # each call that takes an axis, on the axis
     "EvolutionSpec": pictures.EvolutionSpec,
     "HaltingMachine": lambda axis: halting.HaltingMachine(axis, 1.0, _Z),
     "self_reference": lambda axis: halting.self_reference(axis, 1.0, _Z),
+    "is_fixed_point": lambda axis: halting.is_fixed_point(axis, 1.0, _Z),
+    "reversed_label_equivalence": (
+        lambda axis: pictures.reversed_label_equivalence(axis, 1.0, _Z, [0.0])
+    ),
 }
-_STATE_TAKERS = {  # each call that takes a Bloch vector, on the vector
+# Each call that takes a Bloch vector, on the vector (trajectory's is in _BAD_TRAJECTORIES).
+_STATE_TAKERS = {
     "state_to_density-vector": bloch.state_to_density,
     "expectation-vector": lambda v: bloch.expectation(_Z, v),
+    "expectation-observable": lambda e: bloch.expectation(e, _Z),
     "measure_sample-vector": lambda v: bloch.measure_sample(_Z, v, rng_seed=1, shots=1),
+    "measure_sample-observable": lambda e: bloch.measure_sample(e, _Z, rng_seed=1, shots=1),
     "rotate_state-vector": lambda v: bloch.rotate_state(np.eye(2), v),
+    "rotate_observable-vector": lambda e: bloch.rotate_observable(np.eye(2), e),
     "rodrigues-vector": lambda v: bloch.rodrigues(_AXIS, 1.0, v),
     "evolve-vector": lambda v: pictures.evolve(_Z_SPEC, v, 1.0),
-    "trajectory-vector": lambda v: pictures.trajectory(_Z_SPEC, v, 0.0, 1.0, 3),
+    "reversed_label_equivalence-vector": (
+        lambda v: pictures.reversed_label_equivalence(_AXIS, 1.0, v, [0.0])
+    ),
     "HaltingMachine-system": lambda v: halting.HaltingMachine(_AXIS, 1.0, v),
     "HaltingMachine-basis": lambda v: halting.HaltingMachine(_AXIS, 1.0, _Z, v),
     "self_reference-basis": lambda v: halting.self_reference(_AXIS, 1.0, v),
+    "is_fixed_point-basis": lambda v: halting.is_fixed_point(_AXIS, 1.0, v),
+}
+_NOT_NUMBERS = {  # no matrix check takes these, which numpy cannot read as complex numbers
+    "text": [[1, 0], [0, "x"]],
+    "ragged": [[1, 0], [0]],
+    "object": [[1, 0], [0, object()]],
 }
 _NOT_PURE_STATES = {
     "shape": (np.eye(3), "density matrix must be a finite 2x2 matrix"),
@@ -134,6 +153,7 @@ _NOT_PURE_STATES = {
     "hermitian": ([[1, 0.5], [0, 0]], "density matrix must be Hermitian"),
     "trace": ([[1, 0], [0, 0.5]], f"density matrix trace {np.complex128(1.5)!r} must be 1"),
     "mixed": ([[0.5, 0], [0, 0.5]], "pure-state Bloch vector norm 0.0 deviates from 1 by 1"),
+    **{case: (m, "density matrix must be a finite 2x2 matrix") for case, m in _NOT_NUMBERS.items()},
 }
 _NOT_UNITARY = {
     "2I": (2 * np.eye(2), "matrix is not unitary: row norms^2 4.0, 4.0, overlap 0.0"),
@@ -141,19 +161,52 @@ _NOT_UNITARY = {
     "nan": ([[math.nan, 0], [0, 1]], "matrix is not unitary: row norms^2 nan, 1.0, overlap nan"),
     "3x3": (np.eye(3), "matrix must be 2x2, got shape (3, 3)"),
     "shear": ([[1, 1], [0, 1]], "matrix is not unitary: row norms^2 2.0, 1.0, overlap 1.0"),
+    **{
+        case: (u, f"matrix must be a 2x2 array of numbers, got {u!r}")
+        for case, u in _NOT_NUMBERS.items()
+    },
 }
 _TRANSPORTS = {
     "rotate_state": lambda u: bloch.rotate_state(u, _Z),
     "rotate_observable": lambda u: bloch.rotate_observable(u, _Z),
     "adjoint_rotation": bloch.adjoint_rotation,
 }
-_BAD_TIME_RANGES = {  # (t_start, t_end), each of them finite
-    "range": (1.0, 1.0),
-    "range-descending": (2.0, 1.0),
-    "range-width-overflows": (-1e308, 1e308),
-}
 _FAST_SPEC = pictures.EvolutionSpec(_AXIS, 1e300)  # rate * t overflows at |t| = 1e300
 _NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+_NOT_REAL = "must be real number, not str"
+_GRID = {"spec": _Z_SPEC, "vector": _Z, "t_start": 0.0, "t_end": 1.0, "steps": 3}
+# Each rejected trajectory call: the arguments it changes in _GRID, the type and the message.
+_BAD_TRAJECTORIES = {
+    **{
+        f"{end}-{label}": ({end: x}, ValueError, f"{end} must be finite")
+        for end in ("t_start", "t_end")
+        for label, x in _NONFINITE.items()
+    },
+    **{f"{end}-text": ({end: "1.5"}, TypeError, _NOT_REAL) for end in ("t_start", "t_end")},
+    "trajectory-vector": (
+        {"vector": (0, 0, 3)}, ValueError, "Bloch vector norm 3.0 deviates from 1 by 2"
+    ),
+    "steps": ({"steps": 1}, ValueError, "steps must be >= 2, got 1"),
+    "steps-2.9": ({"steps": 2.9}, TypeError, _NOT_AN_INT),  # not truncated to a count
+    **{  # each end finite
+        case: (
+            {"t_start": lo, "t_end": hi},
+            ValueError,
+            f"need t_start < t_end and a finite width, got [{lo}, {hi}]",
+        )
+        for case, lo, hi in (
+            ("range", 1.0, 1.0),
+            ("range-descending", 2.0, 1.0),
+            ("range-width-overflows", -1e308, 1e308),
+        )
+    },
+    **{  # rate * t overflows at either end of the grid
+        f"trajectory-angle-at-{end}": (
+            {"spec": _FAST_SPEC, "t_start": lo, "t_end": hi}, ValueError, "angle must be finite"
+        )
+        for end, lo, hi in (("t_start", -1e300, 0.0), ("t_end", 0.0, 1e300))
+    },
+}
 
 # Every input the library rejects, one bad input a row: the call, the type it
 # must raise and its message.  A ValueError's message names the input, word
@@ -167,7 +220,7 @@ _REJECTED = {
         for label, x in _NONFINITE.items()
     },
     **{  # a number written as a string is not a real number, as for vector components
-        f"{case}-text": (lambda call=call: call("1.5"), TypeError, "must be real number, not str")
+        f"{case}-text": (lambda call=call: call("1.5"), TypeError, _NOT_REAL)
         for case, (call, _) in _SCALARS.items()
     },
     **{
@@ -251,29 +304,10 @@ _REJECTED = {
     "evolve-angle": (  # finite t, but rate * t overflows
         lambda: pictures.evolve(_FAST_SPEC, _Z, 1e300), ValueError, "angle must be finite"
     ),
-    "steps": (
-        lambda: pictures.trajectory(_Z_SPEC, _Z, 0.0, 1.0, 1),
-        ValueError,
-        "steps must be >= 2, got 1",
-    ),
-    "steps-2.9": (  # not truncated to a count
-        lambda: pictures.trajectory(_Z_SPEC, _Z, 0.0, 1.0, 2.9), TypeError, _NOT_AN_INT
-    ),
-    **{
-        case: (
-            lambda lo=lo, hi=hi: pictures.trajectory(_Z_SPEC, _Z, lo, hi, 3),
-            ValueError,
-            f"need t_start < t_end and a finite width, got [{lo}, {hi}]",
-        )
-        for case, (lo, hi) in _BAD_TIME_RANGES.items()
-    },
-    **{  # rate * t overflows at either end of the grid
-        f"trajectory-angle-at-{end}": (
-            lambda lo=lo, hi=hi: pictures.trajectory(_FAST_SPEC, _Z, lo, hi, 3),
-            ValueError,
-            "angle must be finite",
-        )
-        for end, lo, hi in (("t_start", -1e300, 0.0), ("t_end", 0.0, 1e300))
+    **{  # the CLI writes _rows, not trajectory, so each row is made on both
+        prefix + case: (lambda s=sample, a=args: s(**{**_GRID, **a}), kind, message)
+        for prefix, sample in (("", pictures.trajectory), ("_rows-", pictures._rows))
+        for case, (args, kind, message) in _BAD_TRAJECTORIES.items()
     },
     "grid": (
         lambda: pictures.reversed_label_equivalence(_AXIS, 1.0, _Z, []),
@@ -299,6 +333,7 @@ _REJECTED = {
         )
         for label, tol in {"0.0": 0.0, "-1.0": -1.0, **_NONFINITE}.items()
     },
+    "tol-text": (lambda: halting.is_fixed_point(_AXIS, 1.0, _Z, tol="1.5"), TypeError, _NOT_REAL),
 }
 
 

@@ -152,37 +152,6 @@ def test_trajectory_samples_are_the_rows_in_the_public_record(spec):
         assert struct.pack("4d", sample.time_label, *sample.vector) == struct.pack("4d", label, *v)
 
 
-def test_trajectory_rejects_bad_grids():
-    # The CLI writes pictures._rows, which makes trajectory's checks.
-    for sample in (trajectory, pictures._rows):
-        with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
-            sample(SCHRO, Z, 0.0, 1.0, 1)
-        with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[1.0, 1.0\]"):
-            sample(SCHRO, Z, 1.0, 1.0, 5)
-        with pytest.raises(ValueError, match=r"need t_start < t_end .*got \[2.0, 1.0\]"):
-            sample(SCHRO, Z, 2.0, 1.0, 5)
-        # Each bound is finite, but t_end - t_start overflows to inf.
-        with pytest.raises(ValueError, match="finite width"):
-            sample(SCHRO, Z, -1e308, 1e308, 5)
-        # A step count must be an integer, not truncated to one.
-        with pytest.raises(TypeError):
-            sample(SCHRO, Z, 0.0, 1.0, 2.9)
-
-
-def test_trajectory_checks_everything_before_it_returns():
-    # The samples are computed lazily, so every error must come from the
-    # call itself: rate * t overflowing at either end, or a bad input vector.
-    # The CLI's rows come from pictures._rows, so it must check the same.
-    fast = EvolutionSpec(Y_AXIS, 1e300, Picture.SCHRODINGER)
-    for sample in (trajectory, pictures._rows):
-        with pytest.raises(ValueError, match="angle must be finite"):
-            sample(fast, Z, 0.0, 1e300, 5)
-        with pytest.raises(ValueError, match="angle must be finite"):
-            sample(fast, Z, -1e300, 0.0, 5)
-        with pytest.raises(ValueError, match="Bloch vector"):
-            sample(SCHRO, (0.0, 0.0, 2.0), 0.0, 1.0, 5)
-
-
 def test_evolution_spec_axis_is_read_only():
     spec = EvolutionSpec(Y_AXIS, 1.0, Picture.SCHRODINGER)
     with pytest.raises(TypeError):
