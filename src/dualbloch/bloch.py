@@ -11,7 +11,9 @@ the expectation value ``e . v`` is unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -27,16 +29,23 @@ def state_to_density(v) -> np.ndarray:
     return 0.5 * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
 
 
+def _complex_array(m):
+    """m as a complex array, or None if numpy cannot read it or an entry is not
+    a number: converting to complex straight away would read "1" and b"1"."""
+    with contextlib.suppress(TypeError, ValueError):  # ragged rows, say
+        a = np.asarray(m)
+        if a.dtype.kind in "biufc" or all(isinstance(x, numbers.Number) for x in a.flat):
+            return a.astype(complex, copy=False)
+    return None
+
+
 def density_to_state(m) -> tuple[float, float, float]:
     """Bloch vector of a pure density matrix, v_i = Tr(sigma_i m).
 
     Rejects non-Hermitian or wrong-trace input (tolerance 1e-9) and mixed
     states (Bloch norm below 1 - NORM_SLACK) rather than projecting them.
     """
-    try:
-        m = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError):  # a string or ragged rows, say
-        m = None
+    m = _complex_array(m)
     if m is None or m.shape != (2, 2) or not np.all(np.isfinite(m)):
         raise ValueError("density matrix must be a finite 2x2 matrix")
     if float(np.max(np.abs(m - m.conj().T))) > 1e-9:
@@ -76,13 +85,12 @@ def _rotation_of(u) -> tuple[float, ...]:
     a libm whose cos is even and sin odd, the Heisenberg picture at -t then
     has the bits of the Schrodinger picture at t.  Products of the complex
     entries give the same nonzero bits, but can flip the sign of a zero."""
-    try:
-        u = np.asarray(u, dtype=complex)
-    except (TypeError, ValueError):  # a string or ragged rows, say
-        raise ValueError(f"matrix must be a 2x2 array of numbers, got {u!r}") from None
-    if u.shape != (2, 2):
-        raise ValueError(f"matrix must be 2x2, got shape {u.shape}")
-    (a, b), (c, d) = u.tolist()
+    m = _complex_array(u)
+    if m is None:
+        raise ValueError(f"matrix must be a 2x2 array of numbers, got {u!r}")
+    if m.shape != (2, 2):
+        raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
     ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
     re_ac, re_bd = ar * cr + ai * ci, br * dr + bi * di  # the real parts of a c*, b d*

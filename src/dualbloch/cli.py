@@ -20,14 +20,15 @@ import re
 import sys
 
 from . import _report
-from ._kernel import _expectation, _linspace, _quaternion_rotation, _transport, bloch_vector
-from ._kernel import normalized
-from .halting import _SO3_MEMO_SIZE, FIXED_POINT_TOL, HaltingMachine, run, self_reference
+from ._kernel import _axis_rotation, _expectation, _linspace, _quaternion_rotation, _transport
+from ._kernel import bloch_vector, normalized
+from .halting import FIXED_POINT_TOL, HaltingMachine, run, self_reference
 from .pictures import EvolutionSpec, Picture, _rows
 
 EQUIV_THRESHOLD = 1e-12
 REAL = ".17g"  # 17 significant digits round-trip any double losslessly
 _BLOCK = 1024  # lines per write call: PYTHONUNBUFFERED=1 writes through on each call
+_COLUMNS = 1024  # sweep columns kept with their text and R, ~0.5 MB when full
 # Every negative value float() reads: argparse's own pattern knows only plain
 # decimals and takes "-1e-3", "-inf" or "-nan" for an option string.
 NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -160,21 +161,21 @@ def cmd_self_ref_sweep(args) -> int:
 
     tol, steps = args.tol, args.delta_steps
 
-    def columns(skip: int):  # (delta, its text) for the columns from number skip on
+    def columns(skip: int):  # (delta, its text, its R) for the columns from number skip on
         deltas = itertools.islice(_linspace(delta_lo, delta_hi, steps), skip, None)
-        return ((delta, format(delta, REAL)) for delta in deltas)
+        return ((delta, format(delta, REAL), _axis_rotation(Z_AXIS, delta)) for delta in deltas)
 
-    # _linspace gives a delta the same bits on every row: the columns whose
-    # rotations self_reference keeps keep their text too, and later ones are made per row.
-    head = list(itertools.islice(columns(0), _SO3_MEMO_SIZE))
+    # _linspace gives a delta the same bits on every row: the first _COLUMNS
+    # columns keep their text and R for the run, and later ones are made per cell.
+    head = list(itertools.islice(columns(0), _COLUMNS))
 
     def rows():  # row-major, computed as they are written
         for theta in _linspace(theta_lo, theta_hi, args.theta_steps):
             theta_text = format(theta, REAL)
             basis = (math.sin(theta), 0.0, math.cos(theta))
             tail = columns(len(head)) if steps > len(head) else ()
-            for delta, delta_text in itertools.chain(head, tail):
-                gap = self_reference(Z_AXIS, delta, basis).discrepancy_angle
+            for delta, delta_text, r in itertools.chain(head, tail):
+                gap = self_reference(Z_AXIS, delta, basis, rotation=r).discrepancy_angle
                 yield theta_text, delta_text, gap, "true" if gap < tol else "false"
 
     # An empty spec passes the text columns through str.format unparsed.

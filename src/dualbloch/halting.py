@@ -13,10 +13,8 @@ angle is a multiple of pi, and nowhere else.  Vectors are float triples.
 
 from __future__ import annotations
 
-import _thread
 import contextlib
 import math
-import struct
 import sys
 from collections import namedtuple
 
@@ -27,12 +25,6 @@ HALT_POLE = (0.0, 0.0, 1.0)
 _FLIP = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)  # the SO(3) matrix of SIGMA_X
 
 FIXED_POINT_TOL = 1e-9  # default angular tolerance for classifying agreement
-
-_SO3_MEMO_SIZE = 1024  # rotations self_reference keeps, ~0.44 MB when full
-_so3_memo: dict[bytes, tuple[float, ...]] = {}
-_so3_key = struct.Struct("4d").pack
-# The type threading.Lock returns, without importing threading at start-up.
-_so3_lock = _thread.allocate_lock()  # makes the size check and the insert one step
 
 
 class HaltingMachine(namedtuple("HaltingMachine", "axis angle system system_basis")):
@@ -101,7 +93,7 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
     )
 
 
-def self_reference(axis, angle, basis) -> SelfRefReport:
+def self_reference(axis, angle, basis, *, rotation=None) -> SelfRefReport:
     """Run the machine on the observer's own basis vector in both pictures.
 
     Returns the two outputs (rotation by +angle and by -angle about the
@@ -111,23 +103,11 @@ def self_reference(axis, angle, basis) -> SelfRefReport:
     rotate_state and rotate_observable bit for bit.  tuple.__new__ builds the
     report without the Python frame of namedtuple's __new__.
 
-    R comes from a memo of the first _SO3_MEMO_SIZE distinct (axis, angle)
-    inputs of the process; _axis_rotation builds a later one afresh and it
-    is not kept.  Keeping the first entries, not the latest, makes every row
-    of a row-major sweep hit however long it is, so a sweep builds each
-    delta's R once.  The key is the exact bits of the checked axis and
-    angle: ==, which has -0.0 == 0.0, would hand one sign of zero the matrix
-    whose bits belong to the other.  A hit, a key pack and a lookup, takes
-    under a third of the time of a build.
+    A caller that already holds R, _axis_rotation of the checked axis and
+    angle, passes it as rotation; it is used as given, not checked.
     """
     axis, angle = unit_axis(axis), _finite(angle, "angle")
-    key = _so3_key(*axis, angle)
-    r = _so3_memo.get(key)
-    if r is None:
-        r = _axis_rotation(axis, angle)
-        with _so3_lock:
-            if len(_so3_memo) < _SO3_MEMO_SIZE:
-                _so3_memo[key] = r
+    r = _axis_rotation(axis, angle) if rotation is None else rotation
     x, y, z = bloch_vector(basis)
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     wx = r00 * x + r01 * y + r02 * z

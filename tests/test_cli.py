@@ -127,9 +127,9 @@ print(*(m in sys.modules for m in ("threading", "numbers", "signal")))
 
 
 def test_the_numpy_free_commands_import_no_threading_numbers_or_signal():
-    # Under -S, since a site hook may import them first: the lock of
-    # self_reference's rotation memo comes from _thread, numbers serves only
-    # components that are not floats, and signal only an interrupted run.
+    # Under -S, since a site hook may import them first: nothing takes a
+    # lock, numbers serves only components that are not floats, and signal
+    # only an interrupted run.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _COLD_START], capture_output=True, env=cli_env()
     )
@@ -497,9 +497,7 @@ def test_sweep_output_file_matches_stdout(tmp_path):
 
 
 def _sweep_peak(tmp_path, theta_steps: int, delta_steps: int) -> int:
-    """tracemalloc's peak over an in-process sweep to a file, from an empty
-    memo of rotations."""
-    halting._so3_memo.clear()
+    """tracemalloc's peak over an in-process sweep to a file."""
     argv = ["self-ref-sweep", "--theta-steps", str(theta_steps),
             "--delta-steps", str(delta_steps), "--output", str(tmp_path / "sweep.csv")]  # fmt: skip
     tracemalloc.start()
@@ -517,11 +515,9 @@ def test_sweep_streams_its_rows(tmp_path):
     assert _sweep_peak(tmp_path, 201, 201) < 1_000_000
 
 
-def test_a_sweep_wider_than_the_rotation_memo_stays_flat(tmp_path):
-    # self_reference's memo stops at its bound, so deltas past it add nothing.
-    peak = _sweep_peak(tmp_path, 3, halting._SO3_MEMO_SIZE + 50)
-    assert len(halting._so3_memo) == halting._SO3_MEMO_SIZE
-    assert peak < 1_000_000
+def test_a_sweep_wider_than_the_column_cache_stays_flat(tmp_path):
+    # The sweep keeps at most cli._COLUMNS columns, so deltas past it add nothing.
+    assert _sweep_peak(tmp_path, 3, cli._COLUMNS + 50) < 1_000_000
 
 
 def _sweep_cells(fmt, theta_range, delta_range, theta_steps, delta_steps):
@@ -543,7 +539,7 @@ def _sweep_cells(fmt, theta_range, delta_range, theta_steps, delta_steps):
 
 
 def test_sweep_wider_than_the_column_cache_matches_a_per_cell_formatter():
-    # Columns past halting._SO3_MEMO_SIZE are formatted row by row, the rest once per run.
+    # Columns past cli._COLUMNS are made row by row, the rest once per run.
     proc = run_cli("self-ref-sweep", "--theta-steps", 3, "--delta-steps", 1100, "--degrees",
                    "--theta-range", -10, 190, "--delta-range", -400, 400)  # fmt: skip
     assert proc.returncode == 0, proc.stderr

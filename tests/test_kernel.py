@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -98,11 +97,25 @@ _SCALARS = {
 _VECTOR_CHECKS = {
     su2.unit_axis: "axis", bloch.bloch_vector: "Bloch vector", bloch.normalized: "vector"
 }
+_GENERATOR = (c for c in (1.0, 0.0, 0.0))  # refused before it is read, so all rows share it
 _NOT_VECTORS = {  # no vector check takes these: each, and the end of the message
     "shape": (np.zeros(4), "must be a 3-vector, got shape (4,)"),
     "length": ([1.0, 0.0], "must be a 3-vector, got [1.0, 0.0]"),
     "length-4": ((1.0, 0.0, 0.0, 0.0), "must be a 3-vector, got (1.0, 0.0, 0.0, 0.0)"),
     "not-real": (["1", 0, 0], "must be a 3-vector of real numbers"),
+    # Each rejected before any float() call: float() of a 1-element array warns.
+    "text": ("abc", "must be a 3-vector, got 'abc'"),
+    "text-digits": ("100", "must be a 3-vector, got '100'"),  # not unpacked to (1, 0, 0)
+    "bytes": (b"abc", "must be a 3-vector, got b'abc'"),
+    "text-components": (["1", "0", "0"], "must be a 3-vector of real numbers"),
+    "complex": ([1j, 0, 0], "must be a 3-vector of real numbers"),
+    "text-component": ([1, "a", 0], "must be a 3-vector of real numbers"),
+    "generator": (_GENERATOR, f"must be a 3-vector, got {_GENERATOR!r:.40}"),
+    "set": ({1.0, 0.0, -1.0}, "must be a 3-vector, got {0.0, 1.0, -1.0}"),
+    "nested-lists": ([[1.0], [0.0], [0.0]], "must be a 3-vector of real numbers"),
+    "shape-3x1": (np.array([[1.0], [0.0], [0.0]]), "must be a 3-vector, got shape (3, 1)"),
+    "shape-0d": (np.array(1.0), "must be a 3-vector, got shape ()"),
+    "array-component": ([np.array([1.0]), 0, 0], "must be a 3-vector of real numbers"),
     **{label: ([x, 0.0, 1.0], "components must be finite") for label, x in _NONFINITE.items()},
 }
 _OFF_UNIT = {  # unit_axis and bloch_vector reject these, which normalized scales
@@ -142,8 +155,10 @@ _STATE_TAKERS = {
     "self_reference-basis": lambda v: halting.self_reference(_AXIS, 1.0, v),
     "is_fixed_point-basis": lambda v: halting.is_fixed_point(_AXIS, 1.0, v),
 }
-_NOT_NUMBERS = {  # no matrix check takes these, which numpy cannot read as complex numbers
+_NOT_NUMBERS = {  # no matrix check takes these, though numpy reads "1" and b"1" as 1
     "text": [[1, 0], [0, "x"]],
+    "text-number": [[1, 0], [0, "1"]],
+    "bytes": [[b"1", 0], [0, 1]],
     "ragged": [[1, 0], [0]],
     "object": [[1, 0], [0, object()]],
 }
@@ -539,11 +554,11 @@ def test_none_is_rejected_in_a_fresh_interpreter():
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
 
 
-# ------------------------------------------------------- self_reference's memo
+# ------------------------------------------------- self_reference's rotation
 
 _directions = st.sampled_from(CORNERS) | _near_unit
 _angles = (
-    st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2, 5e-324, -5e-324, 2.0**-1030])
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.integers(-(10**6), 10**6)
     | st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
@@ -562,21 +577,12 @@ def _fresh_outputs_bits(axis, angle, basis) -> bytes:
     return _outputs_bits(_kernel._transport(r, basis, False), _kernel._transport(r, basis, True))
 
 
-def _counting_rotation(monkeypatch):
-    """A list that gets the (axis, angle) of each SO(3) matrix halting builds."""
-    built = []
-    rotation = _kernel._axis_rotation
-    monkeypatch.setattr(halting, "_axis_rotation", lambda *u: built.append(u) or rotation(*u))
-    return built
-
-
 @settings(max_examples=300, deadline=None)
 @given(axis=_directions, angle=_angles, basis=_directions)
 @example(axis=(1.0, 0.0, -0.0), angle=0.0, basis=(1.0, -0.0, 0.0))
 def test_self_reference_returns_the_bits_of_a_rotation_built_afresh(axis, angle, basis):
     # With every zero made +0.0 first: a memo keyed on ==, where -0.0 == 0.0,
     # would hand the drawn signs the +0.0 matrix, whose bits can differ.
-    halting._so3_memo.clear()
     plus = (tuple(c if c else 0.0 for c in axis), angle if angle else 0.0)
     for axis, angle in (plus, (axis, angle)):
         fresh = _fresh_outputs_bits(axis, angle, basis)
@@ -585,82 +591,44 @@ def test_self_reference_returns_the_bits_of_a_rotation_built_afresh(axis, angle,
             assert _outputs_bits(report.schrodinger_output, report.heisenberg_output) == fresh
 
 
+@settings(max_examples=300, deadline=None)
+@given(axis=_directions, angle=_angles, basis=_directions)
+@example(axis=(0.0, -0.0, -1.0), angle=-0.0, basis=(-0.0, 1.0, 0.0))
+@example(axis=(-1.0, 0.0, -0.0), angle=5e-324, basis=(0.0, -0.0, -1.0))
+def test_a_given_rotation_gives_the_bits_of_none(axis, angle, basis):
+    r = _kernel._axis_rotation(su2.unit_axis(axis), _kernel._finite(angle, "angle"))
+    plain = halting.self_reference(axis, angle, basis)
+    given = halting.self_reference(axis, angle, basis, rotation=r)
+    bits = [
+        _outputs_bits(report.schrodinger_output, report.heisenberg_output)
+        + struct.pack("d", report.discrepancy_angle)
+        for report in (plain, given)
+    ]
+    assert bits[0] == bits[1]
+
+
 @pytest.mark.parametrize("delta_steps", [2, 7])
 def test_a_sweep_builds_each_delta_rotation_once(monkeypatch, delta_steps):
-    halting._so3_memo.clear()
-    built = _counting_rotation(monkeypatch)
+    # The sweep builds each column's R, and self_reference uses it as given.
+    built = {cli: [], halting: []}
+    rotation = _kernel._axis_rotation
+    for module, calls in built.items():
+        monkeypatch.setattr(
+            module, "_axis_rotation", lambda *u, c=calls: c.append(u) or rotation(*u)
+        )
     argv = ["self-ref-sweep", "--theta-steps", "3", "--delta-steps", str(delta_steps)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert len(built) == delta_steps
-
-
-def test_the_memo_keeps_its_first_entries_and_no_more(monkeypatch):
-    # Not the latest: a row-major sweep asks for its deltas in the same order
-    # on every row, so a memo that kept the latest would miss every one.
-    halting._so3_memo.clear()
-    size = halting._SO3_MEMO_SIZE
-    for k in range(size + 10):
-        halting.self_reference(_AXIS, float(k), (0, 0, 1))
-    assert len(halting._so3_memo) == size
-    built = _counting_rotation(monkeypatch)
-    for k in (0, size - 1, size, size + 20):
-        halting.self_reference(_AXIS, float(k), (0, 0, 1))
-    assert len(built) == 2  # size and size + 20
-    assert len(halting._so3_memo) == size
-
-
-class _YieldingDict(dict):
-    """A dict whose size check lets another thread run before it answers, so
-    that a memo without its lock would insert past its bound."""
-
-    def __len__(self):
-        size = super().__len__()
-        time.sleep(0)
-        return size
-
-
-def test_threads_never_push_the_memo_past_its_bound(monkeypatch):
-    monkeypatch.setattr(halting, "_so3_memo", _YieldingDict())
-    size = halting._SO3_MEMO_SIZE
-
-    def fill(start):
-        for k in range(start, start + size):
-            halting.self_reference(_AXIS, float(k), (0, 0, 1))
-
-    threads = [threading.Thread(target=fill, args=(i * size,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(halting._so3_memo) == size
-
-
-def test_only_self_reference_fills_the_memo():
-    halting._so3_memo.clear()
-    for picture in (pictures.Picture.SCHRODINGER, pictures.Picture.HEISENBERG):
-        halting.run(_Z_MACHINE, picture)
-    for picture in pictures.Picture:
-        spec = pictures.EvolutionSpec(_AXIS, 1.0, picture)
-        pictures.evolve(spec, (0, 0, 1), 0.5)
-        list(pictures.trajectory(spec, (0, 0, 1), 0.0, 1.0, 5))
-    assert not halting._so3_memo
-    halting.self_reference(_AXIS, 0.5, (0, 0, 1))
-    assert len(halting._so3_memo) == 1
+    assert (len(built[cli]), len(built[halting])) == (delta_steps, 0)
 
 
 def test_the_kernel_holds_no_state():
-    # The memo is self_reference's: nothing in the kernel outlives a call.
+    # Nothing in the kernel or in halting outlives a call.
     mutable = (dict, list, set, type(threading.Lock()), type(threading.RLock()))
-    names = {k: v for k, v in vars(_kernel).items() if not k.startswith("__")}
-    assert [k for k, v in names.items() if isinstance(v, mutable)] == []
-    assert [k for k, v in names.items() if v is _thread or v is struct] == []
+    for module in (_kernel, halting):
+        names = {k: v for k, v in vars(module).items() if not k.startswith("__")}
+        assert [k for k, v in names.items() if isinstance(v, mutable)] == [], module
+        assert [k for k, v in names.items() if v is _thread or v is struct] == [], module
 
 
 # ------------------------------------------------------ the axis-angle kernel
