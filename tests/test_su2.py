@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualbloch.bloch import bloch_vector, normalized
 from dualbloch.su2 import (
     IDENTITY,
     SIGMA_X,
@@ -71,6 +72,35 @@ def test_unit_axis_renormalizes_small_drift():
     n = unit_axis((0.0, 1.0 + 5e-7, 0.0))
     assert abs(np.linalg.norm(n) - 1.0) < 1e-15
     np.testing.assert_allclose(n, [0.0, 1.0, 0.0], atol=1e-15)
+
+
+# Inputs that are not exactly three real numbers.
+NOT_THREE_REALS = [
+    "abc",
+    "100",  # not unpacked to (1, 0, 0)
+    b"abc",
+    ["1", "0", "0"],
+    [1j, 0, 0],
+    [1, "a", 0],
+    (c for c in (1.0, 0.0, 0.0)),
+    {1.0, 0.0, -1.0},
+    [[1.0], [0.0], [0.0]],
+    np.array([[1.0], [0.0], [0.0]]),
+    np.array(1.0),
+    [np.array([1.0]), 0, 0],
+]
+
+
+@pytest.mark.parametrize("bad", NOT_THREE_REALS)
+@pytest.mark.parametrize(
+    "validate, noun",
+    [(unit_axis, "axis"), (bloch_vector, "Bloch vector"), (normalized, "vector")],
+    ids=["unit_axis", "bloch_vector", "normalized"],
+)
+def test_anything_but_three_real_numbers_is_not_a_3_vector(validate, noun, bad):
+    # Rejected before any float() call: float() of a 1-element array warns.
+    with pytest.raises(ValueError, match=f"^{noun} must be a 3-vector"):
+        validate(bad)
 
 
 def test_adjoint_involution_is_bitwise():
