@@ -37,6 +37,24 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _shown(value) -> str:
+    """value as a rejection message names it, in text that is the same in
+    every process: reprlib's abridged repr (a set's items sorted), in which a
+    number, bytes, None or an enum member shows its repr and anything else
+    only its type, as <generator>, since a default repr holds a memory address."""
+    import enum
+    import numbers
+    import reprlib
+
+    class Shown(reprlib.Repr):
+        def repr_instance(self, x, level):
+            if x is None or isinstance(x, (numbers.Number, bytes, enum.Enum)):
+                return repr(x)
+            return f"<{type(x).__name__}>"
+
+    return Shown().repr(value)
+
+
 def _unit3(components, name: str, slack: float | None) -> tuple[float, float, float]:
     """Validate a list, tuple or shape-(3,) array of three real numbers (else
     raise ValueError, calling no float()) and return it scaled to unit norm, or
@@ -53,7 +71,7 @@ def _unit3(components, name: str, slack: float | None) -> tuple[float, float, fl
                 raise ValueError(f"{name} must be a 3-vector, got shape {shape}")
             components = components.tolist()
         elif not isinstance(components, (list, tuple)) or len(components) != 3:
-            raise ValueError(f"{name} must be a 3-vector, got {components!r:.40}")
+            raise ValueError(f"{name} must be a 3-vector, got {_shown(components):.40}")
         components = tuple(components)
     x, y, z = components
     if not (type(x) is float and type(y) is float and type(z) is float):

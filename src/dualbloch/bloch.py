@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from ._kernel import NORM_SLACK, _finite, _transport, _unit3, expectation, unit_axis
+from ._kernel import NORM_SLACK, _finite, _shown, _transport, _unit3, expectation, unit_axis
 from ._kernel import bloch_vector, normalized  # the kernel's own objects, exported here
 from .su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -87,7 +87,7 @@ def _rotation_of(u) -> tuple[float, ...]:
     entries give the same nonzero bits, but can flip the sign of a zero."""
     m = _complex_array(u)
     if m is None:
-        raise ValueError(f"matrix must be a 2x2 array of numbers, got {u!r}")
+        raise ValueError(f"matrix must be a 2x2 array of numbers, got {_shown(u):.40}")
     if m.shape != (2, 2):
         raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
     (a, b), (c, d) = m.tolist()

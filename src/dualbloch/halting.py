@@ -18,7 +18,8 @@ import math
 import sys
 from collections import namedtuple
 
-from ._kernel import _axis_rotation, _finite, _transport, bloch_vector, expectation, unit_axis
+from ._kernel import _axis_rotation, _finite, _shown, _transport, bloch_vector, expectation
+from ._kernel import unit_axis
 from .pictures import Picture
 
 HALT_POLE = (0.0, 0.0, 1.0)
@@ -80,7 +81,7 @@ def run(machine: HaltingMachine, picture: Picture) -> RunReport:
         halt_basis_out = _transport(_FLIP, machine.halt_basis, inverse=True)
     else:
         raise ValueError(
-            f"halting machine supports schrodinger and heisenberg only, got {picture!r}"
+            f"halting machine supports schrodinger and heisenberg only, got {_shown(picture)}"
         )
     return RunReport(
         picture=picture,

@@ -20,7 +20,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from ._kernel import _axis_rotation, _finite, _linspace, _transport, bloch_vector, unit_axis
+from ._kernel import _axis_rotation, _finite, _linspace, _shown, _transport, bloch_vector
+from ._kernel import unit_axis
 
 
 class Picture(Enum):
@@ -41,7 +42,7 @@ class EvolutionSpec(namedtuple("EvolutionSpec", "axis rate picture")):
     def __new__(cls, axis, rate=1.0, picture=Picture.SCHRODINGER):
         axis, rate = unit_axis(axis), _finite(rate, "rate")
         if not isinstance(picture, Picture):
-            raise ValueError(f"picture must be a Picture, got {picture!r}")
+            raise ValueError(f"picture must be a Picture, got {_shown(picture)}")
         return super().__new__(cls, axis, rate, picture)
 
     @classmethod

@@ -7,6 +7,10 @@ From the root of a checkout:
     python tests/goldens.py --check   # compare each case with its file, run the table
     python tests/goldens.py           # rewrite the files, then review the diff
 
+Run from a copy of tests/ outside a checkout, with no src/ beside it, the
+check runs whichever dualbloch is importable, as CI checks the installed
+package.
+
 A change to any of these bytes must be deliberate.  Without numpy the
 equiv-check case has no bytes: once the command has exited 1 with a one-line
 error and no traceback, the check reports them as skipped and a rewrite

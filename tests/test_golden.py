@@ -4,6 +4,12 @@ The cases and the standard-library runner are in tests/goldens.py, which
 also regenerates the files after a deliberate change.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dualbloch._kernel import bloch_vector, normalized, unit_axis
@@ -120,3 +126,36 @@ def test_contract_check_skips_what_it_cannot_run_and_fails_a_wrong_row(monkeypat
     assert skipped == "no-numpy: skipped, needs numpy"  # not passed
     verdicts = [line.split(": ", 2)[:2] for line in failed]
     assert verdicts == [["code", "FAILED"], ["err", "FAILED"], ["out", "FAILED"]]
+
+
+@pytest.mark.parametrize("changed", [False, True], ids=["package-as-is", "package-changed"])
+def test_a_copy_of_tests_outside_a_checkout_checks_the_importable_package(changed, tmp_path):
+    # How CI checks the installed package: tests/ has no src/ beside it there,
+    # so cli_env's first path entry is missing and the CLI runs the dualbloch
+    # that PYTHONPATH finds.  A changed byte in that copy alone must fail.
+    tests = Path(__file__).resolve().parent
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(tests, tmp_path / "t", ignore=skip)
+    package = tmp_path / "site" / "dualbloch"
+    shutil.copytree(tests.parent / "src" / "dualbloch", package, ignore=skip)
+    if changed:
+        cli = package / "cli.py"
+        cli.write_text(cli.read_text().replace('REAL = ".17g"', 'REAL = ".16g"', 1))
+    names = ["self-ref-sweep.csv", "halting-demo-heisenberg.json"]
+    script = (
+        "import sys, goldens\n"
+        f"cases = {{name: goldens.CASES[name] for name in {names}}}\n"
+        "sys.exit(goldens.check(cases, goldens.GOLDEN))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path / "t",
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "site")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    golden = tmp_path / "t" / "golden" / names[0]
+    sweep = f"FAILED: output differs from {golden}" if changed else "ok"
+    assert proc.stdout.splitlines() == [f"{names[0]}: {sweep}", f"{names[1]}: ok"], proc.stderr
+    assert proc.returncode == changed

@@ -97,7 +97,6 @@ _SCALARS = {
 _VECTOR_CHECKS = {
     su2.unit_axis: "axis", bloch.bloch_vector: "Bloch vector", bloch.normalized: "vector"
 }
-_GENERATOR = (c for c in (1.0, 0.0, 0.0))  # refused before it is read, so all rows share it
 _NOT_VECTORS = {  # no vector check takes these: each, and the end of the message
     "shape": (np.zeros(4), "must be a 3-vector, got shape (4,)"),
     "length": ([1.0, 0.0], "must be a 3-vector, got [1.0, 0.0]"),
@@ -110,8 +109,9 @@ _NOT_VECTORS = {  # no vector check takes these: each, and the end of the messag
     "text-components": (["1", "0", "0"], "must be a 3-vector of real numbers"),
     "complex": ([1j, 0, 0], "must be a 3-vector of real numbers"),
     "text-component": ([1, "a", 0], "must be a 3-vector of real numbers"),
-    "generator": (_GENERATOR, f"must be a 3-vector, got {_GENERATOR!r:.40}"),
-    "set": ({1.0, 0.0, -1.0}, "must be a 3-vector, got {0.0, 1.0, -1.0}"),
+    # Refused before it is read, so all three rows share it; named by its type.
+    "generator": ((c for c in (1.0, 0.0, 0.0)), "must be a 3-vector, got <generator>"),
+    "set": ({1.0, 0.0, -1.0}, "must be a 3-vector, got {-1.0, 0.0, 1.0}"),  # sorted
     "nested-lists": ([[1.0], [0.0], [0.0]], "must be a 3-vector of real numbers"),
     "shape-3x1": (np.array([[1.0], [0.0], [0.0]]), "must be a 3-vector, got shape (3, 1)"),
     "shape-0d": (np.array(1.0), "must be a 3-vector, got shape ()"),
@@ -155,12 +155,14 @@ _STATE_TAKERS = {
     "self_reference-basis": lambda v: halting.self_reference(_AXIS, 1.0, v),
     "is_fixed_point-basis": lambda v: halting.is_fixed_point(_AXIS, 1.0, v),
 }
-_NOT_NUMBERS = {  # no matrix check takes these, though numpy reads "1" and b"1" as 1
-    "text": [[1, 0], [0, "x"]],
-    "text-number": [[1, 0], [0, "1"]],
-    "bytes": [[b"1", 0], [0, 1]],
-    "ragged": [[1, 0], [0]],
-    "object": [[1, 0], [0, object()]],
+# No matrix check takes these, though numpy reads "1" and b"1" as 1: each, and
+# how a message names it.
+_NOT_NUMBERS = {
+    "text": ([[1, 0], [0, "x"]], "[[1, 0], [0, 'x']]"),
+    "text-number": ([[1, 0], [0, "1"]], "[[1, 0], [0, '1']]"),
+    "bytes": ([[b"1", 0], [0, 1]], "[[b'1', 0], [0, 1]]"),
+    "ragged": ([[1, 0], [0]], "[[1, 0], [0]]"),
+    "object": ([[1, 0], [0, object()]], "[[1, 0], [0, <object>]]"),
 }
 _NOT_PURE_STATES = {
     "shape": (np.eye(3), "density matrix must be a finite 2x2 matrix"),
@@ -168,7 +170,10 @@ _NOT_PURE_STATES = {
     "hermitian": ([[1, 0.5], [0, 0]], "density matrix must be Hermitian"),
     "trace": ([[1, 0], [0, 0.5]], f"density matrix trace {np.complex128(1.5)!r} must be 1"),
     "mixed": ([[0.5, 0], [0, 0.5]], "pure-state Bloch vector norm 0.0 deviates from 1 by 1"),
-    **{case: (m, "density matrix must be a finite 2x2 matrix") for case, m in _NOT_NUMBERS.items()},
+    **{
+        case: (m, "density matrix must be a finite 2x2 matrix")
+        for case, (m, _) in _NOT_NUMBERS.items()
+    },
 }
 _NOT_UNITARY = {
     "2I": (2 * np.eye(2), "matrix is not unitary: row norms^2 4.0, 4.0, overlap 0.0"),
@@ -177,8 +182,8 @@ _NOT_UNITARY = {
     "3x3": (np.eye(3), "matrix must be 2x2, got shape (3, 3)"),
     "shear": ([[1, 1], [0, 1]], "matrix is not unitary: row norms^2 2.0, 1.0, overlap 1.0"),
     **{
-        case: (u, f"matrix must be a 2x2 array of numbers, got {u!r}")
-        for case, u in _NOT_NUMBERS.items()
+        case: (u, f"matrix must be a 2x2 array of numbers, got {shown}")
+        for case, (u, shown) in _NOT_NUMBERS.items()
     },
 }
 _TRANSPORTS = {
@@ -316,6 +321,11 @@ _REJECTED = {
         ValueError,
         "picture must be a Picture, got 'schrodinger'",
     ),
+    "EvolutionSpec-picture-object": (
+        lambda: pictures.EvolutionSpec(_AXIS, 1.0, object()),
+        ValueError,
+        "picture must be a Picture, got <object>",
+    ),
     "evolve-angle": (  # finite t, but rate * t overflows
         lambda: pictures.evolve(_FAST_SPEC, _Z, 1e300), ValueError, "angle must be finite"
     ),
@@ -339,6 +349,11 @@ _REJECTED = {
         lambda: halting.run(_Z_MACHINE, "schrodinger"),
         ValueError,
         "halting machine supports schrodinger and heisenberg only, got 'schrodinger'",
+    ),
+    "picture-object": (
+        lambda: halting.run(_Z_MACHINE, object()),
+        ValueError,
+        "halting machine supports schrodinger and heisenberg only, got <object>",
     ),
     **{
         f"tol-{label}": (

@@ -74,24 +74,21 @@ def test_unit_axis_renormalizes_small_drift():
     np.testing.assert_allclose(n, [0.0, 1.0, 0.0], atol=1e-15)
 
 
-# Inputs that are not exactly three real numbers.
-NOT_THREE_REALS = [
-    "abc",
-    "100",  # not unpacked to (1, 0, 0)
-    b"abc",
-    ["1", "0", "0"],
-    [1j, 0, 0],
-    [1, "a", 0],
-    (c for c in (1.0, 0.0, 0.0)),
-    {1.0, 0.0, -1.0},
-    [[1.0], [0.0], [0.0]],
-    np.array([[1.0], [0.0], [0.0]]),
-    np.array(1.0),
-    [np.array([1.0]), 0, 0],
-]
+# Inputs that are not exactly three real numbers, each under its own id, so
+# that retiring one renames no other.
+NOT_THREE_REALS = {
+    "bad4": [1j, 0, 0],
+    "bad5": [1, "a", 0],
+    "<genexpr>": (c for c in (1.0, 0.0, 0.0)),
+    "bad7": {1.0, 0.0, -1.0},
+    "bad8": [[1.0], [0.0], [0.0]],
+    "bad9": np.array([[1.0], [0.0], [0.0]]),
+    "bad10": np.array(1.0),
+    "bad11": [np.array([1.0]), 0, 0],
+}
 
 
-@pytest.mark.parametrize("bad", NOT_THREE_REALS)
+@pytest.mark.parametrize("bad", NOT_THREE_REALS.values(), ids=list(NOT_THREE_REALS))
 @pytest.mark.parametrize(
     "validate, noun",
     [(unit_axis, "axis"), (bloch_vector, "Bloch vector"), (normalized, "vector")],
